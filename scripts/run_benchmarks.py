@@ -2,13 +2,15 @@
 """Measure event-kernel throughput and emit machine-readable BENCH JSON.
 
 Runs the two storm workloads from ``benchmarks/test_engine_throughput``
-on each scheduling tier and writes per-tier events/second plus the
-speedup matrix to a committed JSON trajectory file (``BENCH_6.json``):
+on each kernel configuration and writes per-configuration events/second
+plus the speedup to a JSON file:
 
-* ``naive``    — the heap engine driven one ``step()`` call per event:
-  the pre-optimisation kernel shape (no hoisting, per-event dispatch).
-* ``heap``     — the reference engine's inlined ``run()`` loop.
-* ``calendar`` — the raw-speed tier (``repro.sim.fastengine``).
+* ``naive`` — the engine driven one ``step()`` call per event: the
+  pre-optimisation kernel shape (no hoisting, per-event dispatch).
+* ``heap``  — the engine's inlined ``run()`` loop.
+
+The committed ``BENCH_6.json`` is an earlier output of this script, from
+when a calendar-queue tier also existed; it is kept as history.
 
 Methodology (the box is noisy, so all of this matters): every
 measurement runs in its own freshly forked interpreter; tiers are
@@ -17,12 +19,12 @@ tiers equally; each process does one untimed warmup run, then ``gc``
 collects before each timed iteration (gc stays *enabled* during timing
 — that is the production configuration); the reported figure is the
 best iteration across all processes.  Event counts are asserted
-identical across tiers — the tiers are bit-identical by contract, so a
-count mismatch fails the whole benchmark run.
+identical across tiers — both run the same engine, so a count mismatch
+fails the whole benchmark run.
 
 Usage:
-    python scripts/run_benchmarks.py [--out BENCH_6.json] [--procs 3]
-        [--inner 7] [--tiers naive,heap,calendar]
+    python scripts/run_benchmarks.py [--out bench-engine.json] [--procs 3]
+        [--inner 7] [--tiers naive,heap]
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ _SRC = os.path.join(_ROOT, "src")
 _BENCH = os.path.join(_ROOT, "benchmarks")
 
 STORMS = ("event_storm", "am_storm")
-TIERS = ("naive", "heap", "calendar")
+TIERS = ("naive", "heap")
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +119,9 @@ def _worker(tier: str, storm: str, inner: int) -> None:
     sys.path.insert(0, _BENCH)
 
     from repro.sim import engine as engine_mod
-    from repro.sim import set_default_engine
     from repro.sim.process import Process
 
-    if tier == "calendar":
-        set_default_engine("calendar")
-    elif tier == "naive":
+    if tier == "naive":
         engine_mod.Simulator.run = _naive_run
         engine_mod.Simulator.timeout = _naive_timeout
         Process._resume = _naive_resume
@@ -162,8 +161,7 @@ def _spawn(tier: str, storm: str, inner: int) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--out", default=os.path.join(_ROOT,
-                                                      "BENCH_6.json"))
+    parser.add_argument("--out", default="bench-engine.json")
     parser.add_argument("--procs", type=int, default=3,
                         help="worker processes per (tier, storm) pair")
     parser.add_argument("--inner", type=int, default=7,
@@ -208,8 +206,7 @@ def main(argv=None) -> int:
                      "shape reconstructed: step()-per-event dispatch, "
                      "generic Timeout construction, property-based "
                      "process resume",
-            "heap": "reference engine, inlined run() loop",
-            "calendar": "raw-speed tier (repro.sim.fastengine)",
+            "heap": "the engine's inlined run() loop",
         },
         "storms": {},
     }

@@ -115,6 +115,7 @@ class AmLayer:
         self._credit_owner: Dict[int, int] = {}
         self._rx_queue: Deque[Packet] = deque()
         self._wakeup = None
+        self._wakeup_name = f"am-wakeup[{node_id}]"
         #: Cached per-message host costs.  ``params`` and ``knobs`` are
         #: frozen dataclasses, so these cannot drift; caching keeps two
         #: attribute-chain walks off the per-message service path.
@@ -190,7 +191,7 @@ class AmLayer:
         self._kick()
 
     def _arm_wakeup(self):
-        self._wakeup = self.sim.event(name=f"am-wakeup[{self.node_id}]")
+        self._wakeup = self.sim.event(name=self._wakeup_name)
         return self._wakeup
 
     # -- polling and waiting --------------------------------------------------

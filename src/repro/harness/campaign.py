@@ -9,7 +9,7 @@ This module is that contract, modeled on MBradbury/slp's
 ``skip_completed_simulations`` + ``create_*_results.py`` split:
 
 * :class:`CampaignSpec` — a declarative, JSON-round-trippable argument
-  product over (app, P, dial, values, seed, faults, coll, engine).
+  product over (app, P, dial, values, seed, faults, coll).
   ``points()`` expands it into concrete
   :class:`~repro.harness.parallel.PointTask` work units, each tagged
   with the same content-addressed key the
@@ -129,8 +129,6 @@ class CampaignSpec:
     faults: Optional[FaultPlan] = None
     #: Collective tuning config applied to every point.
     coll: Optional[Any] = None
-    #: Simulator scheduling engine (bit-identical tiers; never keyed).
-    engine: Optional[str] = None
     #: Open-system serving workload: the constructor-knob dict a
     #: :func:`repro.serve.apps.serving_app_from_dict` builds from
     #: (``{"app": "kvserve", ...}``).  When set, ``apps`` must name
@@ -230,7 +228,7 @@ class CampaignSpec:
                         run_limit_us=self.run_limit_us,
                         livelock_limit=self.livelock_limit,
                         window=self.window, faults=fault_for(value),
-                        coll=self.coll, engine=self.engine)
+                        coll=self.coll)
                     spec = task.key_spec()
                     points.append(CampaignPoint(
                         app_name=app_name, n_nodes=n_nodes,
@@ -259,14 +257,18 @@ class CampaignSpec:
                        if self.faults is not None else None),
             "coll": (dataclasses.asdict(self.coll)
                      if self.coll is not None else None),
-            "engine": self.engine,
             "workload": (dict(self.workload)
                          if self.workload is not None else None),
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CampaignSpec":
-        """Rebuild a spec produced by :meth:`to_dict` (or hand-written)."""
+        """Rebuild a spec produced by :meth:`to_dict` (or hand-written).
+
+        Specs stored while the simulator had a selectable engine carry an
+        ``engine`` field; it never affected results or keys, and is
+        ignored.
+        """
         faults = data.get("faults")
         if faults is not None:
             faults = FaultPlan(**{
@@ -297,7 +299,7 @@ class CampaignSpec:
             run_limit_us=data.get("run_limit_us"),
             livelock_limit=data.get("livelock_limit", 200_000),
             window=data.get("window", 8),
-            faults=faults, coll=coll, engine=data.get("engine"),
+            faults=faults, coll=coll,
             workload=data.get("workload"))
 
     def to_json(self) -> str:

@@ -41,9 +41,11 @@ __all__ = ["RunCache", "run_key_spec", "app_fingerprint",
            "constructor_params"]
 
 #: Bump to invalidate every existing cache entry when the simulator's
-#: event semantics change in a way that alters measured runtimes (or,
-#: as in format 3, the serialized stats schema gains new counters).
-CACHE_FORMAT = 3
+#: event semantics change in a way that alters measured runtimes, or
+#: when a cached field changes meaning: format 3 added stats counters;
+#: format 4 marks the closed-form NIC servers, which process fewer
+#: events per run, so cached ``events_processed`` counts changed.
+CACHE_FORMAT = 4
 
 
 def constructor_params(app_class: type) -> Tuple[str, ...]:

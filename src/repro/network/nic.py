@@ -3,17 +3,31 @@
 The LANai runs two independent hardware contexts, which the paper's
 apparatus exploits:
 
-* the **transmit context** pulls packets queued by the host, injects them
-  onto the wire, then stalls for the gap (baseline ``g`` plus the
-  ``delta_g`` dial; for bulk fragments, plus ``size * (G + delta_G)``)
-  before injecting the next packet -- stalling *after* injection so
-  latency is unaffected;
+* the **transmit context** takes packets queued by the host in FIFO
+  order, DMAs bulk fragments into the card, injects each packet onto the
+  wire, then stalls for the gap (baseline ``g`` plus the ``delta_g``
+  dial; for bulk fragments, plus ``size * (G + delta_G)``) before taking
+  the next -- stalling *after* injection so latency is unaffected;
 * the **receive context** accepts packets from the wire and deposits them
   toward the host.  The ``delta_L`` dial is implemented here as the
   paper's *delay queue*: an arriving packet is only marked valid
   ``delta_L`` microseconds after arrival, leaving ``o`` and ``g``
-  untouched.  Because the contexts are independent, a stalled transmitter
-  never blocks reception.
+  untouched.  With dialed occupancy it is a serial processor holding
+  each packet for ``delta_occ``.  Because the contexts are independent, a
+  stalled transmitter never blocks reception.
+
+Both contexts are closed-form FIFO servers (:class:`_FifoServer`)
+driven by plain callbacks rather than generator processes.  A server's
+state is the packet in service, a queue of waiting packets and the time
+it is next free.  Each packet costs one zero-delay hand-off event (it
+places service behind everything else due at the same instant), a timer
+for any time spent before injection, and a stall timer only when a
+packet is waiting behind the stall.  A stall that ends on an empty queue
+is not scheduled: the server reserves the heap sequence number the stall
+timer would have taken and pushes the timer at that ``(time, seq)`` only
+if a packet arrives before it would have fired.  Every event with an
+effect therefore keeps its heap position, and runs are bit-identical to
+a per-packet process model while processing fewer events.
 
 Flow-control CREDIT packets are generated and consumed entirely inside
 the NIC (never reaching the host) and bypass the transmit gap, standing
@@ -47,13 +61,14 @@ to a build without the protocol.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Set, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, Optional, Set, Tuple
 
 from repro.am.tuning import TuningKnobs
 from repro.network.faults import FaultPlan, RetryExhausted
 from repro.network.loggp import LogGPParams
 from repro.network.packet import Packet, PacketKind
-from repro.sim import Simulator, Store
+from repro.sim import Event, Simulator
 
 __all__ = ["Nic"]
 
@@ -81,6 +96,96 @@ class _RetxState:
         #: Incremented at every injection; a pending timer only fires its
         #: retransmission if it carries the current id (lazy cancel).
         self.timer_id = 0
+
+
+class _FifoServer:
+    """One LANai context as a callback-driven FIFO server.
+
+    A packet handed to :meth:`put` spends ``pre(packet)`` µs in service
+    (no timer when zero), is passed to ``act(packet, pre)``, and then
+    holds the server for the stall ``act`` returns.  Service starts with
+    a zero-delay hand-off event, as a process resumed by a queue would.
+
+    A stall that ends on an empty queue is *virtual*: the server only
+    reserves its ``(free_at, seq)`` heap position.  A packet arriving
+    before that position is reached pushes the stall-end event there; one
+    arriving after it starts service at once.  The server starts in a
+    virtual stall ending at its construction instant, standing in for a
+    process's kickoff event.
+    """
+
+    __slots__ = ("sim", "_pre", "_act", "_queue", "_busy", "_pre_time",
+                 "_free_at", "_reserved")
+
+    def __init__(self, sim: Simulator,
+                 pre: Callable[[Packet], float],
+                 act: Callable[[Packet, float], float]) -> None:
+        self.sim = sim
+        self._pre = pre
+        self._act = act
+        self._queue: Deque[Packet] = deque()
+        #: True from a hand-off until the server is idle again.
+        self._busy = False
+        #: Pre-injection time of the packet in service.
+        self._pre_time = 0.0
+        self._free_at = sim.now
+        self._reserved = sim._reserve(sim.now)
+
+    def __len__(self) -> int:
+        """Packets waiting (not yet handed off)."""
+        return len(self._queue)
+
+    def put(self, packet: Packet) -> None:
+        """Enqueue ``packet``; service starts at once if the server is
+        free."""
+        if self._busy:
+            self._queue.append(packet)
+            return
+        self._busy = True
+        sim = self.sim
+        free_at = self._free_at
+        if sim._now < free_at or (sim._now == free_at
+                                  and sim._cur_seq < self._reserved):
+            # The virtual stall has not fired yet: schedule it for real.
+            self._queue.append(packet)
+            sim._push_reserved(free_at, self._reserved).callbacks.append(
+                self._stall_end)
+        else:
+            self._hand_off(packet)
+
+    def _hand_off(self, packet: Packet) -> None:
+        self.sim.timeout(0.0, packet).callbacks.append(self._begin)
+
+    def _stall_end(self, _event: Event) -> None:
+        self._hand_off(self._queue.popleft())
+
+    def _begin(self, event: Event) -> None:
+        packet = event._value
+        pre = self._pre(packet)
+        if pre > 0:
+            self._pre_time = pre
+            self.sim.timeout(pre, packet).callbacks.append(self._end)
+        else:
+            self._finish(packet, 0.0)
+
+    def _end(self, event: Event) -> None:
+        self._finish(event._value, self._pre_time)
+
+    def _finish(self, packet: Packet, pre: float) -> None:
+        stall = self._act(packet, pre)
+        sim = self.sim
+        if self._queue:
+            if stall > 0:
+                sim.timeout(stall).callbacks.append(self._stall_end)
+            else:
+                self._hand_off(self._queue.popleft())
+            return
+        self._busy = False
+        if stall > 0:
+            self._free_at = sim._now + stall
+            self._reserved = sim._reserve(self._free_at)
+        else:
+            self._reserved = 0  # free now
 
 
 class Nic:
@@ -123,15 +228,13 @@ class Nic:
         self.stats = stats
         self.faults = faults
         self._reliable = faults is not None and faults.needs_reliability
-        self._tx_queue: Store = Store(sim, name=f"tx[{node_id}]")
         # With non-zero occupancy the receive context becomes a serial
         # processor: each arriving packet holds it for delta_occ before
         # entering the (possibly delayed) receive queue.
-        self._rx_queue: Optional[Store] = None
+        self._rx: Optional[_FifoServer] = None
         if knobs.delta_occ > 0:
-            self._rx_queue = Store(sim, name=f"rx[{node_id}]")
-            sim.process(self._receive_context(),
-                        name=f"nic-rx[{node_id}]")
+            self._rx = _FifoServer(sim, self._occupancy,
+                                   self._after_occupancy)
         self._reassembly: Dict[int, _Reassembly] = {}
         self._delay_queue_depth = 0
         self.packets_injected = 0
@@ -147,7 +250,8 @@ class Nic:
         self.retransmissions = 0
         self.duplicates_suppressed = 0
         self.acks_sent = 0
-        sim.process(self._transmit_context(), name=f"nic-tx[{node_id}]")
+        self._tx = _FifoServer(sim, self._pre_injection_time, self._transmit)
+        self._mark_valid_cb = self._mark_valid
         wire.attach(node_id, self)
 
     # -- host-side API -----------------------------------------------------
@@ -156,12 +260,12 @@ class Nic:
         if packet.src != self.node_id:
             raise ValueError(
                 f"packet src {packet.src} queued on NIC {self.node_id}")
-        self._tx_queue.put(packet)
+        self._tx.put(packet)
 
     @property
     def tx_backlog(self) -> int:
         """Packets waiting in the transmit queue (diagnostic)."""
-        return len(self._tx_queue)
+        return len(self._tx)
 
     # -- transmit context ---------------------------------------------------
     def _pre_injection_time(self, packet: Packet) -> float:
@@ -191,25 +295,19 @@ class Nic:
             stall += packet.size_bytes * self.knobs.delta_G
         return stall
 
-    def _transmit_context(self):
-        """The LANai transmit loop: DMA, inject, stall for the gap."""
-        while True:
-            packet = yield self._tx_queue.get()
-            pre_time = self._pre_injection_time(packet)
-            if pre_time > 0:
-                yield self.sim.timeout(pre_time)
-            self.packets_injected += 1
-            self.bytes_injected += packet.size_bytes
-            if self.tracer is not None:
-                self.tracer.record("injected", packet.xfer_id,
-                                   self.sim.now)
-            self._inject(packet)
-            stall = self._post_injection_stall(packet, pre_time)
-            self.tx_busy_us += pre_time + stall
-            if self.stats is not None:
-                self.stats.on_tx_busy(self.node_id, pre_time + stall)
-            if stall > 0:
-                yield self.sim.timeout(stall)
+    def _transmit(self, packet: Packet, pre_time: float) -> float:
+        """Inject a packet once its pre-injection time has passed;
+        returns the stall before the next one."""
+        self.packets_injected += 1
+        self.bytes_injected += packet.size_bytes
+        if self.tracer is not None:
+            self.tracer.record("injected", packet.xfer_id, self.sim.now)
+        self._inject(packet)
+        stall = self._post_injection_stall(packet, pre_time)
+        self.tx_busy_us += pre_time + stall
+        if self.stats is not None:
+            self.stats.on_tx_busy(self.node_id, pre_time + stall)
+        return stall
 
     # -- reliability protocol: sender side ----------------------------------
     def _inject(self, packet: Packet) -> None:
@@ -254,7 +352,7 @@ class Nic:
             # on retransmit too.
             self._inject(packet)
         else:
-            self._tx_queue.put(packet)
+            self._tx.put(packet)
 
     def _ack_received(self, ack: Packet) -> None:
         # A stale ack (for a packet already acked via an earlier copy)
@@ -295,30 +393,28 @@ class Nic:
                     return
                 seen.add(packet.seq)
                 self._send_ack(packet)
-        if self._rx_queue is not None:
-            self._rx_queue.put(packet)
+        if self._rx is not None:
+            self._rx.put(packet)
             return
         self._after_occupancy(packet)
 
-    def _receive_context(self):
-        """Serial receive-context processing under dialed occupancy."""
-        while True:
-            packet = yield self._rx_queue.get()
-            yield self.sim.timeout(self.knobs.delta_occ)
-            self._after_occupancy(packet)
+    def _occupancy(self, _packet: Packet) -> float:
+        return self.knobs.delta_occ
 
-    def _after_occupancy(self, packet: Packet) -> None:
+    def _after_occupancy(self, packet: Packet, _pre: float = 0.0) -> float:
+        """Pass a packet to the delay queue (or straight on); as the
+        receive server's action, returns its stall: none."""
         if self.knobs.delta_L > 0:
             self._delay_queue_depth += 1
-            hold = self.sim.event(name=f"delayq:{packet.xfer_id}")
-            hold.callbacks.append(lambda _e: self._mark_valid(packet))
-            hold.succeed(None, delay=self.knobs.delta_L)
+            self.sim.timeout(self.knobs.delta_L, packet).callbacks.append(
+                self._mark_valid_cb)
         else:
             self._accept(packet)
+        return 0.0
 
-    def _mark_valid(self, packet: Packet) -> None:
+    def _mark_valid(self, event: Event) -> None:
         self._delay_queue_depth -= 1
-        self._accept(packet)
+        self._accept(event._value)
 
     def _accept(self, packet: Packet) -> None:
         """Process a packet that is now valid in the receive queue."""

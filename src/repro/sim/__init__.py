@@ -11,21 +11,17 @@ Public surface:
 * :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout`,
   :class:`~repro.sim.events.AnyOf`, :class:`~repro.sim.events.AllOf`.
 * :class:`~repro.sim.process.Process`, :class:`~repro.sim.process.Interrupt`.
-* :class:`~repro.sim.resources.Resource`, :class:`~repro.sim.resources.Store`.
+* :class:`~repro.sim.resources.Resource`.
 """
 
-from repro.sim.engine import (ENGINES, Simulator, StalledError,
-                              default_engine, set_default_engine)
+from repro.sim.engine import Simulator, StalledError
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Interrupt, Process
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 
 __all__ = [
     "Simulator",
     "StalledError",
-    "ENGINES",
-    "default_engine",
-    "set_default_engine",
     "Event",
     "Timeout",
     "AnyOf",
@@ -33,5 +29,4 @@ __all__ = [
     "Process",
     "Interrupt",
     "Resource",
-    "Store",
 ]

@@ -10,13 +10,14 @@ with the heap and bookkeeping hoisted into locals, and
 :meth:`Simulator.timeout` builds the (overwhelmingly common) Timeout
 event without going through the generic ``Event`` constructor.
 
-This class is also the *reference tier* of a two-tier scheduler (see
-ARCHITECTURE.md section 13): ``Simulator(engine="calendar")`` returns a
-:class:`~repro.sim.fastengine.CalendarSimulator`, a faster drop-in that
-must replay every workload bit-identically — same event order, same
-``now``, same ``events_processed``.  ``benchmarks/test_engine_
-throughput.py`` and the committed ``BENCH_6.json`` track events/second
-for both tiers so regressions are caught.
+Closed-form servers (the NIC contexts, see ARCHITECTURE.md section 3)
+skip events nobody would observe.  The kernel lets them keep such an
+event's heap position without scheduling it: :meth:`Simulator._reserve`
+takes the sequence number the event would have had, and
+:meth:`Simulator._push_reserved` schedules it at that position only if
+something turns out to depend on it.  ``_cur_seq`` (the sequence number
+of the event being processed) tells a server whether a reserved event
+would already have fired.
 """
 
 from __future__ import annotations
@@ -27,54 +28,9 @@ from typing import Any, Generator, List, Optional, Tuple
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 
-__all__ = ["Simulator", "StalledError", "ENGINES",
-           "default_engine", "set_default_engine"]
+__all__ = ["Simulator", "StalledError"]
 
 _INF = float("inf")
-
-#: The selectable scheduling tiers.  ``heap`` is this module's reference
-#: engine; ``calendar`` is the raw-speed tier in
-#: :mod:`repro.sim.fastengine` (``fast`` is an alias for it).
-ENGINES = ("heap", "calendar")
-
-_ENGINE_ALIASES = {"fast": "calendar"}
-
-_default_engine = "heap"
-
-
-def default_engine() -> str:
-    """The engine name ``Simulator()`` resolves to when none is given."""
-    return _default_engine
-
-
-def set_default_engine(engine: str) -> str:
-    """Set the process-wide default scheduling tier.
-
-    Lets a driver (e.g. ``scripts/generate_experiments.py --engine``)
-    switch every simulator it creates — including those built in forked
-    sweep workers — without threading the knob through each call site.
-    Returns the previous default.  Both tiers are bit-identical by
-    contract, so the choice never changes results, cache keys, or
-    artifacts; only wall-clock.
-    """
-    global _default_engine
-    resolved = _ENGINE_ALIASES.get(engine, engine)
-    if resolved not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; choose from {ENGINES}")
-    previous = _default_engine
-    _default_engine = resolved
-    return previous
-
-
-def _resolve_engine(engine: Optional[str]) -> str:
-    resolved = _ENGINE_ALIASES.get(engine, engine)
-    if resolved is None:
-        return _default_engine
-    if resolved not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; choose from {ENGINES}")
-    return resolved
 
 
 def _reject_delay(kind: str, delay: float) -> None:
@@ -123,29 +79,17 @@ class Simulator:
         proc = sim.process(ping())
         sim.run()
         assert sim.now == 5.0
-
-    ``engine`` selects the scheduling tier: ``"heap"`` (this class, the
-    bit-identity reference) or ``"calendar"`` (the raw-speed tier;
-    ``"fast"`` is an alias).  ``None`` resolves to the process-wide
-    default set with :func:`set_default_engine` (``"heap"`` unless a
-    driver changed it).
     """
 
-    #: Which scheduling tier this instance is (``"heap"`` here).
-    engine = "heap"
-
-    def __new__(cls, engine: Optional[str] = None, **kwargs: Any):
-        if cls is Simulator and _resolve_engine(engine) == "calendar":
-            from repro.sim.fastengine import CalendarSimulator
-            return object.__new__(CalendarSimulator)
-        return object.__new__(cls)
-
-    def __init__(self, engine: Optional[str] = None) -> None:
-        # ``engine`` was consumed by __new__ (it picked this class);
-        # kept in the signature so Simulator(engine=...) constructs.
+    def __init__(self) -> None:
         self._now = 0.0
         self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
+        #: Sequence number of the event being processed (0 before any).
+        self._cur_seq = 0
+        #: Latest time of any reserved event: a drained heap still
+        #: "fires" reserved events up to here (see :meth:`run`).
+        self._horizon = 0.0
         self._event_count = 0
         self._stop_requested: Optional[Event] = None
 
@@ -220,17 +164,41 @@ class Simulator:
 
     def _push(self, event: Event, delay: float) -> None:
         """Insert a pre-validated, pre-triggered event (the ``Timeout``
-        constructor's path; engine tiers override the storage)."""
+        constructor's path)."""
         self._seq += 1
         heappush(self._heap, (self._now + delay, NORMAL, self._seq, event))
+
+    def _reserve(self, when: float) -> int:
+        """Take the sequence number of an event due at ``when`` without
+        scheduling it.
+
+        The event counts as fired once the clock passes ``(when, seq)``;
+        :meth:`_push_reserved` schedules it at exactly that position if
+        it turns out to matter before then.
+        """
+        self._seq += 1
+        if when > self._horizon:
+            self._horizon = when
+        return self._seq
+
+    def _push_reserved(self, when: float, seq: int) -> Event:
+        """Schedule a reserved event at its ``(when, seq)`` position and
+        return it, for the caller to attach callbacks."""
+        event = Event(self)
+        event._ok = True
+        event._value = None
+        event._scheduled = True
+        heappush(self._heap, (when, NORMAL, seq, event))
+        return event
 
     # -- execution --------------------------------------------------------
     def step(self) -> None:
         """Process exactly one event from the heap."""
         if not self._heap:
             raise RuntimeError("no events to process")
-        when, _priority, _seq, event = heappop(self._heap)
+        when, _priority, seq, event = heappop(self._heap)
         self._now = when
+        self._cur_seq = seq
         self._event_count += 1
         callbacks = event.callbacks
         event.callbacks = None  # mark processed
@@ -269,8 +237,9 @@ class Simulator:
         try:
             if until is None:
                 while heap:
-                    when, _priority, _seq, event = pop(heap)
+                    when, _priority, seq, event = pop(heap)
                     self._now = when
+                    self._cur_seq = seq
                     count += 1
                     callbacks = event.callbacks
                     event.callbacks = None  # mark processed
@@ -292,8 +261,9 @@ class Simulator:
                     if heap[0][0] > until:
                         self._now = until
                         break
-                    when, _priority, _seq, event = pop(heap)
+                    when, _priority, seq, event = pop(heap)
                     self._now = when
+                    self._cur_seq = seq
                     count += 1
                     callbacks = event.callbacks
                     event.callbacks = None  # mark processed
@@ -312,8 +282,16 @@ class Simulator:
                         return stopped.value
         finally:
             self._event_count = count
+        if not heap and self._horizon > self._now:
+            # Reserved events nobody pushed still advance the clock, as
+            # if they had been scheduled: up to the horizon, or to
+            # ``until`` if the horizon lies beyond it.
+            self._now = self._horizon if until is None \
+                else min(self._horizon, until)
+        # Everything up to now has fired, reserved events included.
+        self._cur_seq = self._seq
         if stop_event is not None:
-            if not heap:
+            if not heap and self._now >= self._horizon:
                 raise StalledError(
                     f"event heap drained at t={self._now} with "
                     f"{stop_event!r} still pending")

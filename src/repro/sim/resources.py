@@ -1,22 +1,18 @@
 """Shared resources for simulation processes.
 
-Two primitives cover everything the cluster model needs:
-
-* :class:`Resource` -- a counted, FCFS resource (e.g. a NIC transmit
-  context, a disk arm).  ``request()`` returns an event that succeeds when
-  a slot is granted; ``release()`` frees it.
-* :class:`Store` -- an unbounded (or bounded) FIFO of items (e.g. a NIC
-  receive queue).  ``put(item)`` and ``get()`` both return events.
+:class:`Resource` is a counted, FCFS resource (a disk arm, a shared
+medium, a switch link).  ``request()`` returns an event that succeeds
+when a slot is granted; ``release()`` frees it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Deque
 
 from repro.sim.events import Event
 
-__all__ = ["Resource", "Store", "ResourceError"]
+__all__ = ["Resource", "ResourceError"]
 
 
 class ResourceError(RuntimeError):
@@ -84,59 +80,3 @@ class Resource:
             return False
         return True
 
-
-class Store:
-    """A FIFO buffer of items with event-based put/get.
-
-    With ``capacity=None`` (default) the store is unbounded and ``put``
-    always succeeds immediately.
-    """
-
-    def __init__(self, sim: "Simulator",  # noqa: F821
-                 capacity: Optional[int] = None, name: str = "") -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
-        self.sim = sim
-        self.name = name
-        self.capacity = capacity
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple] = deque()  # (event, item) pairs
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def getters_waiting(self) -> int:
-        return len(self._getters)
-
-    def put(self, item: Any) -> Event:
-        """Insert ``item``; the returned event succeeds once stored."""
-        event = Event(self.sim, name=f"put:{self.name}")
-        if self._getters:
-            # Direct hand-off to the oldest waiting getter.
-            self._getters.popleft().succeed(item)
-            event.succeed(None)
-        elif self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            event.succeed(None)
-        else:
-            self._putters.append((event, item))
-        return event
-
-    def get(self) -> Event:
-        """Remove the oldest item; the event succeeds with that item."""
-        event = Event(self.sim, name=f"get:{self.name}")
-        if self._items:
-            event.succeed(self._items.popleft())
-            if self._putters:
-                putter, item = self._putters.popleft()
-                self._items.append(item)
-                putter.succeed(None)
-        else:
-            self._getters.append(event)
-        return event
-
-    def peek_items(self) -> tuple:
-        """A snapshot of buffered items (diagnostic, oldest first)."""
-        return tuple(self._items)

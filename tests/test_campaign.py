@@ -7,6 +7,7 @@ the rerun must recompute exactly the points that never completed —
 producing artifacts byte-identical to an uninterrupted run.
 """
 
+import json
 import os
 import signal
 import sqlite3
@@ -275,13 +276,24 @@ def test_campaign_spec_json_round_trip_with_faults_and_coll():
                                       duration_us=50.0, factor=2.0),),
             salt=3),
         coll=CollConfig(policy="model",
-                        choices=(("broadcast", "chain"),)),
-        engine="calendar")
+                        choices=(("broadcast", "chain"),)))
     round_tripped = CampaignSpec.from_json(spec.to_json())
     assert round_tripped == spec
     # And the round trip preserves point identity, not just equality.
     assert ([p.key for p in round_tripped.points()]
             == [p.key for p in spec.points()])
+
+
+def test_campaign_spec_from_dict_ignores_stored_engine():
+    """Specs stored while the simulator had a selectable scheduling
+    engine carry an ``engine`` field; loading ignores it."""
+    spec = CampaignSpec(name="legacy", apps=("Radix",), node_counts=(4,),
+                        dials=(("overhead", (2.9,)),), scale=0.05)
+    stored = dict(spec.to_dict(), engine="calendar")
+    loaded = CampaignSpec.from_dict(stored)
+    assert loaded == spec
+    assert "engine" not in loaded.to_dict()
+    assert CampaignSpec.from_json(json.dumps(stored)) == spec
 
 
 def test_campaign_points_order_and_keys_are_deterministic():

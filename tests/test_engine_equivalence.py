@@ -1,28 +1,31 @@
-"""Differential equivalence: the calendar tier vs. the heap reference.
+"""Reference pins for the scheduling engine.
 
-The calendar engine (``repro.sim.fastengine``) is only allowed to be
-*faster* than the reference heap engine — never different.  These tests
-enforce the bit-identity contract three ways:
+The repository once had two scheduling tiers, a heap engine and a
+calendar queue, fuzzed against each other for bit-identity.  The
+calendar tier is gone (see ARCHITECTURE.md section 13); the traces the
+two tiers agreed on are pinned here as digests, so the one remaining
+engine is held to the same contract:
 
-* randomized differential fuzzing: the same scripted workload (mixed
-  timeouts, zero-delay bursts, AnyOf/AllOf composites, spawned
-  sub-processes, manually succeeded/failed events) runs on both engines
-  and must produce the identical resume trace, final ``now``,
-  ``events_processed``, and — when the workload fails — the identical
-  exception at the identical time;
-* targeted corners the fuzzer would only hit by luck: ``run(until)``
-  horizon resume, the post-drain clock bump followed by zero-delay
-  scheduling, step()-driven runs, and non-finite delay rejection;
-* cluster-level identity: a full application run (including under
-  simsan) is bit-identical across engines, and the engine knob never
-  enters the run-cache key space.
+* randomized fuzzing: seeded scripted workloads (mixed timeouts,
+  zero-delay bursts, AnyOf/AllOf composites, spawned sub-processes,
+  manually succeeded/failed events) must reproduce the pinned resume
+  trace, final ``now``, ``events_processed`` and — when the workload
+  fails — the exception at the same time;
+* targeted corners: ``run(until)`` horizon resume, the post-drain clock
+  bump followed by zero-delay scheduling, step()-driven runs, and
+  non-finite delay rejection;
+* cluster-level identity: a full application run (also under simsan)
+  and a small sweep reproduce their pinned results, and a stored
+  campaign spec naming an engine keys exactly like one that does not.
 """
 
+import hashlib
+import json
 import random
 
 import pytest
 
-from repro.sim import ENGINES, Simulator
+from repro.sim import Simulator
 from repro.sim.events import Timeout
 
 #: Quantized delays with deliberate repeats: ties at equal times are the
@@ -33,11 +36,11 @@ N_MANUAL = 6
 
 
 # ---------------------------------------------------------------------------
-# Randomized differential fuzzing.
+# Randomized fuzzing against pinned traces.
 # ---------------------------------------------------------------------------
 
 def _make_script(rng, depth=0):
-    """A deterministic per-process op list (same for both engines)."""
+    """A deterministic per-process op list."""
     ops = ["timeout", "burst", "any_of", "all_of"]
     if depth == 0:
         ops += ["spawn", "manual"]
@@ -102,8 +105,8 @@ def _build_workload(sim, seed, may_fail):
 
     # The driver resolves every manual event exactly once at scripted
     # times; some fail.  A failed event nobody happens to be waiting on
-    # surfaces as the run's exception — which must also be identical
-    # across engines, so failing workloads are legal fuzz inputs.
+    # surfaces as the run's exception — which is pinned too, so failing
+    # workloads are legal fuzz inputs.
     plan = [(rng.choice(DELAYS),
              idx,
              may_fail and rng.random() < 0.3)
@@ -121,9 +124,9 @@ def _build_workload(sim, seed, may_fail):
     return trace, procs
 
 
-def _run_workload(engine, seed, mode="run", may_fail=False):
-    """One full seeded run; returns everything that must be identical."""
-    sim = Simulator(engine=engine)
+def _run_workload(seed, mode="run", may_fail=False):
+    """One full seeded run; returns everything that is pinned."""
+    sim = Simulator()
     trace, procs = _build_workload(sim, seed, may_fail)
     outcome = None
     error = None
@@ -153,48 +156,83 @@ def _run_workload(engine, seed, mode="run", may_fail=False):
     return (trace, sim.now, sim.events_processed, outcome, error)
 
 
+def _fingerprint(value):
+    """First 16 hex digits of the SHA-256 of ``repr(value)``."""
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
 FUZZ_SEEDS = range(12)
+
+#: ``_fingerprint(_run_workload(seed, mode))`` per mode, indexed by seed.
+FUZZ_PINS = {
+    "run": (
+        "557b844f53ea8a69", "33375fdceb7adcac", "3d72012e6f19972b",
+        "557bebbca8b158b5", "cc08ea4875127262", "b7e2df9b61d8cc65",
+        "45f16dacc0b05c1c", "5d4f2bfcf0352c12", "87c29e8ed0b93503",
+        "1ec97b9c4623b7ff", "a1991a711113bcd4", "51fd69b9984d97d7",
+    ),
+    "stop": (
+        "3ef774bc7468d657", "a8e6781292d75070", "880cc8e023e64df3",
+        "2944e6cf6914532d", "170ed9f7817407da", "c438eedfa3459594",
+        "3c49523d7d2cf1e1", "945044bf28435485", "b55e6f4eeea0ed7e",
+        "a0fba32d3735b4a5", "0edbb810d9626377", "b55fd5fcc98f73b8",
+    ),
+    "until": (
+        "121a8f9e638003c2", "37ef0b773e0bf8c3", "2c8b081c582569ec",
+        "1a4cc032d3654f8a", "1064170cd430c3b6", "0d14af28795a0b6f",
+        "ce95f887047a8881", "05fd120d05386439", "337bcd6c80b35de1",
+        "4b6143cdf294a219", "47d5b86948267224", "b8980f3d45013b06",
+    ),
+    "step": (
+        "557b844f53ea8a69", "33375fdceb7adcac", "3d72012e6f19972b",
+        "557bebbca8b158b5", "cc08ea4875127262", "b7e2df9b61d8cc65",
+        "45f16dacc0b05c1c", "5d4f2bfcf0352c12", "87c29e8ed0b93503",
+        "1ec97b9c4623b7ff", "a1991a711113bcd4", "51fd69b9984d97d7",
+    ),
+}
+
+#: ``_fingerprint(_run_workload(seed, may_fail=True))``, indexed by seed.
+FAILING_PINS = (
+    "36828df1e8bdfcbe", "dfdae8a050b371b9", "10d6df2bf55b9fc3",
+    "4c28c5be876dc77e", "0405aae7f610671b", "2ef5cd924d2e90d8",
+    "f2872f0095019876", "9587b798366da006", "fd7c3436bd7085ea",
+    "8d856860a4266907", "7853b6e8516e1d41", "dd2d6370b0ff3080",
+)
 
 
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
 @pytest.mark.parametrize("mode", ["run", "stop", "until", "step"])
 def test_fuzz_engines_bit_identical(seed, mode):
-    reference = _run_workload("heap", seed, mode=mode)
-    candidate = _run_workload("calendar", seed, mode=mode)
-    assert candidate == reference
+    assert _fingerprint(_run_workload(seed, mode=mode)) == \
+        FUZZ_PINS[mode][seed]
 
 
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
 def test_fuzz_failing_events_bit_identical(seed):
-    reference = _run_workload("heap", seed, may_fail=True)
-    candidate = _run_workload("calendar", seed, may_fail=True)
-    assert candidate == reference
+    assert _fingerprint(_run_workload(seed, may_fail=True)) == \
+        FAILING_PINS[seed]
     # Sanity: with 12 seeds and 30% failure odds, some seed must
     # actually die — otherwise the fuzzer lost its failing arm.
     if seed == FUZZ_SEEDS[-1]:
-        assert any(_run_workload("heap", s, may_fail=True)[4]
-                   for s in FUZZ_SEEDS)
+        assert any(_run_workload(s, may_fail=True)[4] for s in FUZZ_SEEDS)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_step_matches_run(seed):
-    """step()-driven and run()-driven execution agree on both engines."""
-    for engine in ENGINES:
-        stepped = _run_workload(engine, seed, mode="step")
-        ran = _run_workload(engine, seed, mode="run")
-        assert stepped[:3] == ran[:3]
+    """step()-driven and run()-driven execution agree."""
+    stepped = _run_workload(seed, mode="step")
+    ran = _run_workload(seed, mode="run")
+    assert stepped[:3] == ran[:3]
 
 
 # ---------------------------------------------------------------------------
 # Targeted corners.
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_until_clock_bump_then_zero_delay_schedule(engine):
+def test_until_clock_bump_then_zero_delay_schedule():
     """After run(until) drains and bumps the clock, fresh zero-delay
-    events must fire at the bumped time, in order (regression for the
-    calendar tier's current-bucket index going stale at the bump)."""
-    sim = Simulator(engine=engine)
+    events must fire at the bumped time, in order."""
+    sim = Simulator()
 
     def early():
         yield sim.timeout(1.0)
@@ -217,11 +255,10 @@ def test_until_clock_bump_then_zero_delay_schedule(engine):
     assert order == [("a", 5.0), ("b", 5.0), ("a", 5.25), ("b", 5.25)]
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_far_future_and_same_tick_interleave(engine):
-    """Events far outside the calendar's bucket span (the overflow
-    bucket) still interleave correctly with dense near-term ticks."""
-    sim = Simulator(engine=engine)
+def test_far_future_and_same_tick_interleave():
+    """Events far in the future still interleave correctly with dense
+    near-term ticks."""
+    sim = Simulator()
     seen = []
 
     def body(delay, tag):
@@ -241,34 +278,32 @@ BAD_DELAYS = (float("nan"), float("inf"), float("-inf"), -1.0, -1e-12)
 
 @pytest.mark.parametrize("bad", BAD_DELAYS)
 def test_bad_delays_rejected_identically(bad):
-    """NaN/inf/negative delays raise ValueError on every entry point of
-    both engines — with the same message, and without corrupting the
-    simulator (it stays runnable and empty)."""
-    messages = {}
-    for engine in ENGINES:
-        sim = Simulator(engine=engine)
-        seen = []
-        for make in (lambda: sim.timeout(bad),
-                     lambda: Timeout(sim, bad),
-                     lambda: sim._schedule(sim.event(), delay=bad),
-                     lambda: sim.event().succeed(None, delay=bad)):
-            with pytest.raises(ValueError) as excinfo:
-                make()
-            seen.append(str(excinfo.value))
-        messages[engine] = seen
-        sim.run()
-        assert sim.now == 0.0
-        assert sim.events_processed == 0
-    assert messages["calendar"] == messages["heap"]
+    """NaN/inf/negative delays raise ValueError on every entry point —
+    with the same message, and without corrupting the simulator (it
+    stays runnable and empty)."""
+    sim = Simulator()
+    seen = []
+    for make in (lambda: sim.timeout(bad),
+                 lambda: Timeout(sim, bad),
+                 lambda: sim._schedule(sim.event(), delay=bad),
+                 lambda: sim.event().succeed(None, delay=bad)):
+        with pytest.raises(ValueError) as excinfo:
+            make()
+        seen.append(str(excinfo.value))
+    sim.run()
+    assert sim.now == 0.0
+    assert sim.events_processed == 0
     if bad != bad or bad in (float("inf"), float("-inf")):
-        assert all("non-finite" in msg for msg in messages["heap"])
+        assert all("non-finite" in msg for msg in seen)
+    else:
+        assert seen == [f"negative timeout delay: {bad}"] * 2 + \
+            [f"cannot schedule into the past: delay={bad}"] * 2
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_timeout_recycling_does_not_leak_state(engine):
-    """Back-to-back timeouts (the free-list's hottest pattern) never
-    leak a value or callback from a previous incarnation."""
-    sim = Simulator(engine=engine)
+def test_timeout_recycling_does_not_leak_state():
+    """Back-to-back timeouts never leak a value or callback from a
+    previous one."""
+    sim = Simulator()
     got = []
 
     def body():
@@ -291,51 +326,53 @@ def _radix_app():
     return RadixSort(keys_per_proc=128)
 
 
+def _sha(value):
+    text = json.dumps(value, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+#: Digests of the runs below, as both tiers produced them.
+RADIX_PIN = ("e6d6a1d27997124d779a50150d61b8be620f0fc9"
+             "4bcc0326510854951689b34e")
+SIMSAN_PIN = ("c35c0313f4eddb8b95ce652d4b0aafc5a5ed4285"
+              "63dcf7a64ef86bf1bcbc5c7c")
+#: (overhead, runtime_us, failure) of the two-point overhead sweep.
+SWEEP_PIN = [[2.9, 4201.300000000046, None],
+             [52.9, 62275.940000000606, None]]
+
+
 def test_cluster_run_bit_identical_across_engines():
     from repro.cluster import Cluster
-    results = {engine: Cluster(n_nodes=4, engine=engine).run(_radix_app())
-               for engine in ENGINES}
-    reference = results["heap"]
-    candidate = results["calendar"]
-    assert candidate.runtime_us == reference.runtime_us
-    assert candidate.stats.to_dict() == reference.stats.to_dict()
+    result = Cluster(n_nodes=4).run(_radix_app())
+    assert _sha({"runtime_us": result.runtime_us,
+                 "stats": result.stats.to_dict()}) == RADIX_PIN
 
 
 def test_simsan_bit_identical_across_engines():
     from repro.cluster import Cluster
-    reports = {}
-    for engine in ENGINES:
-        result = Cluster(n_nodes=4, sanitize=True,
-                         engine=engine).run(_radix_app())
-        assert result.sanitizer is not None
-        reports[engine] = (result.runtime_us,
-                           result.sanitizer.to_dict(),
-                           result.sanitizer.render())
-    assert reports["calendar"] == reports["heap"]
+    result = Cluster(n_nodes=4, sanitize=True).run(_radix_app())
+    assert result.sanitizer is not None
+    assert _sha([result.runtime_us, result.sanitizer.to_dict(),
+                 result.sanitizer.render()]) == SIMSAN_PIN
 
 
 def test_engine_is_not_part_of_the_cache_key():
-    from repro.am.tuning import TuningKnobs
-    from repro.harness.parallel import PointTask
-    from repro.harness.runcache import RunCache
-    from repro.network.loggp import LogGPParams
+    """Campaign specs stored while the engine was a knob still carry an
+    ``engine`` field; it is ignored, so their points key exactly like a
+    spec that never named one."""
+    from repro.harness.campaign import CampaignSpec
 
-    base = dict(app=_radix_app(), n_nodes=4, value=1.0,
-                knobs=TuningKnobs(), params=LogGPParams.berkeley_now())
-    specs = [PointTask(engine=engine, **base).key_spec()
-             for engine in (None, "heap", "calendar")]
-    assert specs[0] == specs[1] == specs[2]
-    keys = {RunCache.key_for(spec) for spec in specs}
-    assert len(keys) == 1
+    current = CampaignSpec(name="k", apps=("Radix",), node_counts=(4,),
+                           dials=(("overhead", (2.9, 22.9)),), scale=0.05)
+    keys = [p.key for p in current.points()]
+    for engine in (None, "heap", "calendar"):
+        stored = dict(current.to_dict(), engine=engine)
+        assert [p.key for p in CampaignSpec.from_dict(stored).points()] \
+            == keys
 
 
 def test_sweep_results_identical_across_engines():
     from repro.harness.sweeps import overhead_sweep
-    app = _radix_app()
-    sweeps = {engine: overhead_sweep(app, 4, overheads=(2.9, 52.9),
-                                     engine=engine)
-              for engine in ENGINES}
-    table = {engine: [(p.value, p.runtime_us, p.failure)
-                      for p in sweep.points]
-             for engine, sweep in sweeps.items()}
-    assert table["calendar"] == table["heap"]
+    sweep = overhead_sweep(_radix_app(), 4, overheads=(2.9, 52.9))
+    assert [[p.value, p.runtime_us, p.failure] for p in sweep.points] \
+        == SWEEP_PIN

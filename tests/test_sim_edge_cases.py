@@ -100,13 +100,6 @@ def test_late_callback_fires_from_event_loop():
     assert fired == [1.0]
 
 
-def test_store_capacity_validation():
-    from repro.sim import Store
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Store(sim, capacity=0)
-
-
 def test_peek_on_empty_heap_is_infinity():
     sim = Simulator()
     assert sim.peek() == float("inf")
