@@ -63,8 +63,10 @@ def _naive_run(self, until=None, stop_event=None):
             raise stop_event.value
         stop_event._defused = True
         stop_event.add_callback(self._stop_callback)
-    while self._heap:
-        if until is not None and self._heap[0][0] > until:
+    # peek() sees the now-queue as well as the heap, so this drains
+    # zero-delay work and deferred calls exactly as run() does.
+    while self.peek() < float("inf"):
+        if until is not None and self.peek() > until:
             self._now = until
             break
         self.step()

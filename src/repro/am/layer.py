@@ -179,9 +179,14 @@ class AmLayer:
 
     # -- wakeup signalling ---------------------------------------------------
     def _kick(self) -> None:
-        """Wake the host process if it is blocked in :meth:`wait_until`."""
-        if self._wakeup is not None and not self._wakeup.triggered:
-            self._wakeup.succeed(None)
+        """Wake the host process if it is blocked in :meth:`wait_until`.
+
+        The wakeup fires at most once: it is cleared as it fires, and
+        the next wait arms a fresh one."""
+        wakeup = self._wakeup
+        if wakeup is not None:
+            self._wakeup = None
+            wakeup.succeed(None)
 
     def kick(self) -> None:
         """Public wakeup: make a parked :meth:`wait_until` re-check its

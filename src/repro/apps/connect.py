@@ -50,6 +50,9 @@ class Connect(Application):
         self.cols = cols
         self.connectivity = connectivity
         self._edges: List[Tuple[int, int]] = []
+        #: Per-rank (local, boundary) edge lists, in edge order.
+        self._partition: List[Tuple[List[Tuple[int, int]],
+                                    List[Tuple[int, int]]]] = []
         self._n_vertices = 0
         self._n_nodes = 0
 
@@ -84,23 +87,21 @@ class Connect(Application):
         # Sort by source vertex so edge order stays row-major.
         merged = merged[np.argsort(merged[:, 0], kind="stable")]
         self._edges = [tuple(edge) for edge in merged.tolist()]
-
-    def _vertex_owner(self, vertex: int) -> int:
-        return (vertex // self.cols) // self.rows_per_proc
+        # Each edge runs right or down, so its source vertex lies in the
+        # upper strip: that strip's owner keeps it, as a local edge or,
+        # when it crosses into the next strip, as a boundary edge it
+        # drives.  A strip is ``cols * rows_per_proc`` vertices.
+        strip = self.cols * self.rows_per_proc
+        self._partition = [([], []) for _ in range(n_nodes)]
+        for edge in self._edges:
+            owner = edge[0] // strip
+            local, boundary = self._partition[owner]
+            (local if edge[1] // strip == owner else boundary).append(edge)
 
     def setup_rank(self, proc: Proc) -> Generator:
         parent = proc.allocate(self._n_vertices, name="cc_parent",
                                item_bytes=4)
-        local_edges = []
-        boundary_edges = []
-        for u, v in self._edges:
-            owner_u = self._vertex_owner(u)
-            owner_v = self._vertex_owner(v)
-            if owner_u == proc.rank and owner_v == proc.rank:
-                local_edges.append((u, v))
-            elif owner_u == proc.rank:
-                # Cross-strip edge; the upper strip's owner drives it.
-                boundary_edges.append((u, v))
+        local_edges, boundary_edges = self._partition[proc.rank]
         proc.state["connect"] = {
             "parent": parent,
             "local_edges": local_edges,

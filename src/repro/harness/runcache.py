@@ -44,8 +44,10 @@ __all__ = ["RunCache", "run_key_spec", "app_fingerprint",
 #: event semantics change in a way that alters measured runtimes, or
 #: when a cached field changes meaning: format 3 added stats counters;
 #: format 4 marks the closed-form NIC servers, which process fewer
-#: events per run, so cached ``events_processed`` counts changed.
-CACHE_FORMAT = 4
+#: events per run, so cached ``events_processed`` counts changed;
+#: format 5 marks the NIC hand-off leaving the event count (it became
+#: a deferred call on the kernel's now-queue), changing them again.
+CACHE_FORMAT = 5
 
 
 def constructor_params(app_class: type) -> Tuple[str, ...]:

@@ -17,22 +17,63 @@ from repro.network.packet import Packet, PacketKind
 __all__ = ["ClusterStats"]
 
 
+class _ListCounter:
+    """A per-message counter kept in a plain list, read as an array.
+
+    The hooks update ``obj._<name>`` (a list, or a list of row lists),
+    because a list element update costs a tenth of a numpy one.  Every
+    read of the public attribute builds a fresh read-only array from
+    it, so the counter is current at any moment and an in-place write
+    through the array raises instead of being lost.  Assigning a whole
+    array replaces the list.
+    """
+
+    def __init__(self, dtype: type) -> None:
+        self.dtype = dtype
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.slot = "_" + name
+
+    def __get__(self, obj: Optional["ClusterStats"],
+                objtype: Optional[type] = None):
+        if obj is None:
+            return self
+        array = np.array(getattr(obj, self.slot), dtype=self.dtype)
+        array.flags.writeable = False
+        return array
+
+    def __set__(self, obj: "ClusterStats", value) -> None:
+        setattr(obj, self.slot, np.asarray(value, dtype=self.dtype).tolist())
+
+
 class ClusterStats:
     """Per-node and per-pair communication counters for one run."""
+
+    #: messages[src, dst] — logical messages sent src→dst.
+    matrix = _ListCounter(np.int64)
+    #: Per-node totals by category.
+    messages_sent = _ListCounter(np.int64)
+    bulk_messages_sent = _ListCounter(np.int64)
+    read_messages_sent = _ListCounter(np.int64)
+    small_bytes_sent = _ListCounter(np.int64)
+    bulk_bytes_sent = _ListCounter(np.int64)
+    messages_received = _ListCounter(np.int64)
+    #: Simulated µs each node's NIC transmit context was busy.
+    tx_busy_us = _ListCounter(np.float64)
 
     def __init__(self, n_nodes: int) -> None:
         if n_nodes < 1:
             raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
         self.n_nodes = n_nodes
-        #: messages[src, dst] — logical messages sent src→dst.
-        self.matrix = np.zeros((n_nodes, n_nodes), dtype=np.int64)
-        #: Per-node totals by category.
-        self.messages_sent = np.zeros(n_nodes, dtype=np.int64)
-        self.bulk_messages_sent = np.zeros(n_nodes, dtype=np.int64)
-        self.read_messages_sent = np.zeros(n_nodes, dtype=np.int64)
-        self.small_bytes_sent = np.zeros(n_nodes, dtype=np.int64)
-        self.bulk_bytes_sent = np.zeros(n_nodes, dtype=np.int64)
-        self.messages_received = np.zeros(n_nodes, dtype=np.int64)
+        # Backing lists of the per-message counters declared above.
+        self._matrix = [[0] * n_nodes for _ in range(n_nodes)]
+        self._messages_sent = [0] * n_nodes
+        self._bulk_messages_sent = [0] * n_nodes
+        self._read_messages_sent = [0] * n_nodes
+        self._small_bytes_sent = [0] * n_nodes
+        self._bulk_bytes_sent = [0] * n_nodes
+        self._messages_received = [0] * n_nodes
+        self._tx_busy_us = [0.0] * n_nodes
         #: Barrier crossings per node (set by the GAS layer).
         self.barriers = np.zeros(n_nodes, dtype=np.int64)
         #: Failed lock acquisition attempts per node (Barnes livelock).
@@ -46,8 +87,6 @@ class ClusterStats:
         #: Bulk transfers still unreassembled at teardown (the leak
         #: diagnostic; set once per run, not gated on the timed region).
         self.reassembly_leaks = np.zeros(n_nodes, dtype=np.int64)
-        #: Simulated µs each node's NIC transmit context was busy.
-        self.tx_busy_us = np.zeros(n_nodes, dtype=np.float64)
         #: Collective invocations per node, keyed ``"kind/algorithm"``
         #: (e.g. ``"broadcast/binomial"``); arrays created lazily the
         #: first time a (kind, algo) pair is dispatched.
@@ -83,21 +122,21 @@ class ClusterStats:
         """One logical message left ``node_id`` (host-level send)."""
         if not self.enabled:
             return
-        self.messages_sent[node_id] += 1
-        self.matrix[node_id, packet.dst] += 1
+        self._messages_sent[node_id] += 1
+        self._matrix[node_id][packet.dst] += 1
         if packet.is_bulk:
-            self.bulk_messages_sent[node_id] += 1
-            self.bulk_bytes_sent[node_id] += packet.logical_bytes
+            self._bulk_messages_sent[node_id] += 1
+            self._bulk_bytes_sent[node_id] += packet.logical_bytes
         else:
-            self.small_bytes_sent[node_id] += packet.logical_bytes
+            self._small_bytes_sent[node_id] += packet.logical_bytes
         if packet.is_read:
-            self.read_messages_sent[node_id] += 1
+            self._read_messages_sent[node_id] += 1
 
     def on_host_recv(self, node_id: int, packet: Packet) -> None:
         """The host at ``node_id`` paid receive overhead for a message."""
         if not self.enabled:
             return
-        self.messages_received[node_id] += 1
+        self._messages_received[node_id] += 1
 
     def on_barrier(self, node_id: int) -> None:
         """``node_id`` completed a barrier."""
@@ -159,7 +198,7 @@ class ClusterStats:
         """``node_id``'s transmit context was busy for ``busy_us``."""
         if not self.enabled:
             return
-        self.tx_busy_us[node_id] += busy_us
+        self._tx_busy_us[node_id] += busy_us
 
     def record_reassembly_leaks(self, node_id: int, count: int) -> None:
         """Teardown diagnostic: bulk transfers that never completed."""
@@ -252,12 +291,11 @@ class ClusterStats:
     def from_dict(cls, data: dict) -> "ClusterStats":
         """Rebuild a stats object produced by :meth:`to_dict`."""
         stats = cls(data["n_nodes"])
-        for name in cls._ARRAY_FIELDS:
-            array = np.asarray(data[name], dtype=np.int64)
-            getattr(stats, name)[...] = array
-        for name in cls._FLOAT_ARRAY_FIELDS:
-            array = np.asarray(data[name], dtype=np.float64)
-            getattr(stats, name)[...] = array
+        for name in cls._ARRAY_FIELDS + cls._FLOAT_ARRAY_FIELDS:
+            current = getattr(stats, name)
+            array = np.asarray(data[name], dtype=current.dtype)
+            setattr(stats, name,
+                    np.broadcast_to(array, current.shape).copy())
         stats.started_at = data["started_at"]
         stats.finished_at = data["finished_at"]
         for field_name in ("collective_calls", "collective_bytes"):

@@ -19,10 +19,11 @@ apparatus exploits:
 Both contexts are closed-form FIFO servers (:class:`_FifoServer`)
 driven by plain callbacks rather than generator processes.  A server's
 state is the packet in service, a queue of waiting packets and the time
-it is next free.  Each packet costs one zero-delay hand-off event (it
-places service behind everything else due at the same instant), a timer
-for any time spent before injection, and a stall timer only when a
-packet is waiting behind the stall.  A stall that ends on an empty queue
+it is next free.  Each packet costs one zero-delay hand-off (a deferred
+call on the kernel's now-queue, not an event: it places service behind
+everything else due at the same instant), a timer for any time spent
+before injection, and a stall timer only when a packet is waiting
+behind the stall.  A stall that ends on an empty queue
 is not scheduled: the server reserves the heap sequence number the stall
 timer would have taken and pushes the timer at that ``(time, seq)`` only
 if a packet arrives before it would have fired.  Every event with an
@@ -104,7 +105,8 @@ class _FifoServer:
     A packet handed to :meth:`put` spends ``pre(packet)`` µs in service
     (no timer when zero), is passed to ``act(packet, pre)``, and then
     holds the server for the stall ``act`` returns.  Service starts with
-    a zero-delay hand-off event, as a process resumed by a queue would.
+    a zero-delay hand-off, deferred to where the event resuming a
+    process blocked on a queue would have fired.
 
     A stall that ends on an empty queue is *virtual*: the server only
     reserves its ``(free_at, seq)`` heap position.  A packet arriving
@@ -151,16 +153,12 @@ class _FifoServer:
             sim._push_reserved(free_at, self._reserved).callbacks.append(
                 self._stall_end)
         else:
-            self._hand_off(packet)
-
-    def _hand_off(self, packet: Packet) -> None:
-        self.sim.timeout(0.0, packet).callbacks.append(self._begin)
+            sim._defer(self._begin, packet)
 
     def _stall_end(self, _event: Event) -> None:
-        self._hand_off(self._queue.popleft())
+        self.sim._defer(self._begin, self._queue.popleft())
 
-    def _begin(self, event: Event) -> None:
-        packet = event._value
+    def _begin(self, packet: Packet) -> None:
         pre = self._pre(packet)
         if pre > 0:
             self._pre_time = pre
@@ -178,7 +176,7 @@ class _FifoServer:
             if stall > 0:
                 sim.timeout(stall).callbacks.append(self._stall_end)
             else:
-                self._hand_off(self._queue.popleft())
+                sim._defer(self._begin, self._queue.popleft())
             return
         self._busy = False
         if stall > 0:

@@ -1,8 +1,22 @@
 """The discrete-event simulator core loop.
 
-The :class:`Simulator` owns the clock and the event heap.  Events are
-processed in strict ``(time, priority, sequence)`` order, making every run
-fully deterministic for a given seedable workload.
+The :class:`Simulator` owns the clock, the event heap and the now-queue.
+Events are processed in strict ``(time, priority, sequence)`` order,
+making every run fully deterministic for a given seedable workload.
+Every priority is ``NORMAL``; :meth:`Simulator._schedule` rejects any
+other, because the now-queue's ordering rule below relies on it.
+
+Work due at the current instant never touches the heap.  A zero-delay
+event (``timeout(0)``, ``succeed()``, a process kickoff, an interrupt or
+late-callback bridge) and a deferred call (:meth:`Simulator._defer`, a
+plain ``fn(arg)`` with no event behind it) are appended to a FIFO
+now-queue with the sequence number they would have had on the heap.
+Sequence numbers only grow, so the queue is in heap order by
+construction.  Before each entry runs, the loop checks the heap top: an
+event at ``(now, lower seq)`` -- a reserved event pushed back at the
+current instant, say -- runs first.  The clock never advances while the
+queue holds work, so the two structures together process exactly the
+heap's ``(time, seq)`` order.
 
 The event loop is the hot path of every experiment (a full LogGP sweep
 is ~10^7 events), so :meth:`Simulator.run` inlines the per-event work
@@ -22,8 +36,9 @@ would already have fired.
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Generator, List, Optional, Tuple
+from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
@@ -51,17 +66,20 @@ def _reject_delay(kind: str, delay: float) -> None:
 
 
 class StalledError(TimeoutError):
-    """The event heap drained while a ``stop_event`` was still pending.
+    """The simulator drained while a ``stop_event`` was still pending.
 
     Distinct from the plain :class:`TimeoutError` raised when the
-    ``until`` horizon elapses with events still queued: a drained heap
-    means no future event can ever trigger the stop condition -- the
-    workload is deadlocked, not merely slow.  Subclasses
+    ``until`` horizon elapses with events still queued: a drained
+    simulator (heap and now-queue both empty) means no future event can
+    ever trigger the stop condition -- the workload is deadlocked, not
+    merely slow.  Subclasses
     :class:`TimeoutError` so existing "did not complete" handling keeps
     working.
     """
 
-#: Default priority for scheduled events; lower runs first at equal times.
+#: The priority of every scheduled event.  Heap entries keep the field,
+#: but the now-queue has none: its merge with the heap is only exact
+#: while all priorities are equal.
 NORMAL = 1
 
 
@@ -84,6 +102,10 @@ class Simulator:
     def __init__(self) -> None:
         self._now = 0.0
         self._heap: List[Tuple[float, int, int, Event]] = []
+        #: Work due at ``now``, in sequence order: ``(seq, None, event)``
+        #: for a zero-delay event, ``(seq, fn, arg)`` for a deferred call.
+        self._nowq: Deque[Tuple[int, Optional[Callable[[Any], None]],
+                                Any]] = deque()
         self._seq = 0
         #: Sequence number of the event being processed (0 before any).
         self._cur_seq = 0
@@ -101,7 +123,10 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        """Total number of events processed so far (diagnostic)."""
+        """Total number of events processed so far (diagnostic).
+
+        Deferred calls (:meth:`_defer`) are not events and do not count.
+        """
         return self._event_count
 
     # -- factories ----------------------------------------------------------
@@ -129,7 +154,11 @@ class Simulator:
         event._defused = False
         event.delay = delay
         self._seq += 1
-        heappush(self._heap, (self._now + delay, NORMAL, self._seq, event))
+        if delay:
+            heappush(self._heap, (self._now + delay, NORMAL, self._seq,
+                                  event))
+        else:
+            self._nowq.append((self._seq, None, event))
         return event
 
     def process(self, generator: Generator, name: str = "") -> Process:
@@ -147,15 +176,17 @@ class Simulator:
     # -- scheduling -------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0,
                   priority: int = NORMAL) -> None:
-        """Insert a triggered event into the heap (internal API)."""
+        """Schedule a triggered event ``delay`` from now (internal API)."""
         if not 0.0 <= delay < _INF:
             _reject_delay("schedule delay", delay)
+        if priority != NORMAL:
+            raise ValueError(
+                f"unsupported priority {priority}: the now-queue orders "
+                f"work by sequence alone, so every priority is NORMAL")
         if event._scheduled:
             raise RuntimeError(f"{event!r} is already scheduled")
         event._scheduled = True
-        self._seq += 1
-        heappush(self._heap, (self._now + delay, priority,
-                              self._seq, event))
+        self._push(event, delay)
 
     def _reject(self, delay: float) -> None:
         """Raise for a bad timeout delay (hook for ``Timeout.__init__``,
@@ -163,10 +194,26 @@ class Simulator:
         _reject_delay("timeout delay", delay)
 
     def _push(self, event: Event, delay: float) -> None:
-        """Insert a pre-validated, pre-triggered event (the ``Timeout``
-        constructor's path)."""
+        """Queue a pre-validated, pre-triggered event: on the now-queue
+        if ``delay`` is zero, else on the heap (the path of ``_schedule``
+        and the ``Timeout`` constructor)."""
         self._seq += 1
-        heappush(self._heap, (self._now + delay, NORMAL, self._seq, event))
+        if delay:
+            heappush(self._heap, (self._now + delay, NORMAL, self._seq,
+                                  event))
+        else:
+            self._nowq.append((self._seq, None, event))
+
+    def _defer(self, fn: Callable[[Any], None], arg: Any) -> None:
+        """Call ``fn(arg)`` at the current instant, where a zero-delay
+        event created now would fire, without creating an event.
+
+        For callbacks nobody else can wait on (the NIC's hand-off): the
+        call keeps its place among same-instant events but is not an
+        event, so it does not count in :attr:`events_processed`.
+        """
+        self._seq += 1
+        self._nowq.append((self._seq, fn, arg))
 
     def _reserve(self, when: float) -> int:
         """Take the sequence number of an event due at ``when`` without
@@ -183,7 +230,12 @@ class Simulator:
 
     def _push_reserved(self, when: float, seq: int) -> Event:
         """Schedule a reserved event at its ``(when, seq)`` position and
-        return it, for the caller to attach callbacks."""
+        return it, for the caller to attach callbacks.
+
+        It goes on the heap even when ``when`` is now: its seq may be
+        older than work already on the now-queue, which the run loop's
+        heap-top check then lets it overtake.
+        """
         event = Event(self)
         event._ok = True
         event._value = None
@@ -193,12 +245,22 @@ class Simulator:
 
     # -- execution --------------------------------------------------------
     def step(self) -> None:
-        """Process exactly one event from the heap."""
-        if not self._heap:
+        """Process exactly one unit of work: an event or a deferred call."""
+        nowq = self._nowq
+        heap = self._heap
+        if nowq and not (heap and heap[0][0] == self._now
+                         and heap[0][2] < nowq[0][0]):
+            seq, fn, event = nowq.popleft()
+            self._cur_seq = seq
+            if fn is not None:
+                fn(event)
+                return
+        elif heap:
+            when, _priority, seq, event = heappop(heap)
+            self._now = when
+            self._cur_seq = seq
+        else:
             raise RuntimeError("no events to process")
-        when, _priority, seq, event = heappop(self._heap)
-        self._now = when
-        self._cur_seq = seq
         self._event_count += 1
         callbacks = event.callbacks
         event.callbacks = None  # mark processed
@@ -210,12 +272,14 @@ class Simulator:
             raise event.value
 
     def peek(self) -> float:
-        """Time of the next event, or ``inf`` if the heap is empty."""
-        return self._heap[0][0] if self._heap else float("inf")
+        """Time of the next unit of work, or ``inf`` if there is none."""
+        if self._nowq:
+            return self._now
+        return self._heap[0][0] if self._heap else _INF
 
     def run(self, until: Optional[float] = None,
             stop_event: Optional[Event] = None) -> Any:
-        """Run until the heap drains, ``until`` time, or ``stop_event``.
+        """Run until drained, ``until`` time, or ``stop_event``.
 
         Returns the value of ``stop_event`` if given and triggered.
         Raises :class:`TimeoutError` if ``until`` elapses while
@@ -228,61 +292,59 @@ class Simulator:
                 raise stop_event.value
             stop_event._defused = True
             stop_event.add_callback(self._stop_callback)
-        # The two loops below are step() unrolled with the heap and the
-        # event counter in locals.  They must stay semantically identical
-        # to step(); the only difference is the `until` horizon check.
+        # The loop is step() unrolled with the queues and the event
+        # counter in locals; the two must stay semantically identical.
+        # Only the heap can lie beyond ``until``: now-queue work is due
+        # at ``now``.
         heap = self._heap
         pop = heappop
+        nowq = self._nowq
+        popleft = nowq.popleft
+        stop_at = _INF if until is None else until
         count = self._event_count
         try:
-            if until is None:
-                while heap:
-                    when, _priority, seq, event = pop(heap)
-                    self._now = when
-                    self._cur_seq = seq
-                    count += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None  # mark processed
-                    if len(callbacks) == 1:
-                        callbacks[0](event)
+            while True:
+                if nowq:
+                    if heap and heap[0][0] == self._now \
+                            and heap[0][2] < nowq[0][0]:
+                        # Same instant, earlier seq: no clock change.
+                        when, _priority, seq, event = pop(heap)
                     else:
-                        for callback in callbacks:
-                            callback(event)
-                    if event._ok is False and not event._defused:
-                        raise event.value
-                    if self._stop_requested is not None:
-                        stopped = self._stop_requested
-                        self._stop_requested = None
-                        if stopped._ok is False:
-                            raise stopped.value
-                        return stopped.value
-            else:
-                while heap:
-                    if heap[0][0] > until:
+                        seq, fn, event = popleft()
+                        if fn is not None:
+                            self._cur_seq = seq
+                            fn(event)
+                            continue
+                elif heap:
+                    if heap[0][0] > stop_at:
                         self._now = until
                         break
                     when, _priority, seq, event = pop(heap)
                     self._now = when
-                    self._cur_seq = seq
-                    count += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None  # mark processed
-                    if len(callbacks) == 1:
-                        callbacks[0](event)
-                    else:
-                        for callback in callbacks:
-                            callback(event)
-                    if event._ok is False and not event._defused:
-                        raise event.value
-                    if self._stop_requested is not None:
-                        stopped = self._stop_requested
-                        self._stop_requested = None
-                        if stopped._ok is False:
-                            raise stopped.value
-                        return stopped.value
+                else:
+                    break
+                self._cur_seq = seq
+                count += 1
+                callbacks = event.callbacks
+                event.callbacks = None  # mark processed
+                if len(callbacks) == 1:
+                    callbacks[0](event)
+                else:
+                    for callback in callbacks:
+                        callback(event)
+                if event._ok is False and not event._defused:
+                    raise event.value
+                if self._stop_requested is not None:
+                    stopped = self._stop_requested
+                    self._stop_requested = None
+                    if stopped._ok is False:
+                        raise stopped.value
+                    return stopped.value
         finally:
             self._event_count = count
-        if not heap and self._horizon > self._now:
+        # The loop only ends with the now-queue empty.
+        drained = not heap
+        if drained and self._horizon > self._now:
             # Reserved events nobody pushed still advance the clock, as
             # if they had been scheduled: up to the horizon, or to
             # ``until`` if the horizon lies beyond it.
@@ -291,7 +353,7 @@ class Simulator:
         # Everything up to now has fired, reserved events included.
         self._cur_seq = self._seq
         if stop_event is not None:
-            if not heap and self._now >= self._horizon:
+            if drained and self._now >= self._horizon:
                 raise StalledError(
                     f"event heap drained at t={self._now} with "
                     f"{stop_event!r} still pending")

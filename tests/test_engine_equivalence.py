@@ -217,9 +217,10 @@ def test_fuzz_failing_events_bit_identical(seed):
         assert any(_run_workload(s, may_fail=True)[4] for s in FUZZ_SEEDS)
 
 
-@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
 def test_step_matches_run(seed):
-    """step()-driven and run()-driven execution agree."""
+    """step()-driven and run()-driven execution agree (zero-delay
+    bursts put much of each workload on the now-queue)."""
     stepped = _run_workload(seed, mode="step")
     ran = _run_workload(seed, mode="run")
     assert stepped[:3] == ran[:3]

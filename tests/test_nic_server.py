@@ -283,8 +283,9 @@ def test_enqueue_at_free_at_before_the_reserved_seq_waits_for_the_stall():
                               probes=[(1.0, 4.0, "made-at-1")])
     assert log == [(0.0, "act", "A", 0.0), (5.0, "probe", "made-at-1"),
                    (5.0, "act", "B", 0.0)]
-    # Saved: the kickoff, both puts, and B's final stall.
-    assert saved == 4
+    # Saved: the kickoff, both puts, B's final stall, and both
+    # hand-offs (deferred calls, which are not events).
+    assert saved == 6
 
 
 def test_enqueue_at_free_at_after_the_reserved_seq_starts_at_once():
@@ -296,8 +297,8 @@ def test_enqueue_at_free_at_after_the_reserved_seq_starts_at_once():
                               probes=[(1.0, 4.0, "made-at-1")])
     assert log == [(0.0, "act", "A", 0.0), (5.0, "probe", "made-at-1"),
                    (5.0, "act", "B", 0.0)]
-    # Saved: the kickoff, both puts, and both stalls.
-    assert saved == 5
+    # Saved: the kickoff, both puts, both stalls, and both hand-offs.
+    assert saved == 7
 
 
 def test_enqueue_at_time_zero_before_the_first_event():

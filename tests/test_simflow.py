@@ -408,23 +408,25 @@ def test_flow_summaries_cover_the_runtime_stack():
 #: semantic pins and never move.  ``events`` is the simulator's own
 #: bookkeeping and ``key`` includes the cache format; both were
 #: re-recorded when the NIC contexts became closed-form servers
-#: (radix 5326 -> 4103 events, barnes 8542 -> 6617; cache format 3 -> 4).
+#: (radix 5326 -> 4103 events, barnes 8542 -> 6617; cache format 3 -> 4)
+#: and again when the NIC hand-off became a deferred call, which is
+#: not an event (radix 3261, barnes 5571; cache format 5).
 _PINS = {
     "radix": {
         "runtime_us": 2069.3999999999905,
         "stats": ("bde7827d60c8b9df889dedffa4af58db9e027097"
                   "ffe01e613916d5d816db72fd"),
-        "events": 4103,
-        "key": ("83d5b8e5ab625046d346eca376b7f23b64d57ce2"
-                "20cf546319ce0dea9e94b52b"),
+        "events": 3261,
+        "key": ("8ebb33b04259c3d96c2540b4ad21a459c9672218"
+                "092b912a0ac2e813650cbd72"),
     },
     "barnes": {
         "runtime_us": 4051.680000000008,
         "stats": ("b67f272172645a3496f5225befbc5a7d68d8e7e8"
                   "8a1ca784df389de67bb568a1"),
-        "events": 6617,
-        "key": ("8e938c8229b9b3a5c5e96964a31f9178d0bef44f"
-                "3a842a18ec81eb2d04d1943b"),
+        "events": 5571,
+        "key": ("642db9402e291eddb02af07d688e5221dcf97f9b"
+                "64570f5cb5f4687309e6fe6d"),
     },
 }
 
