@@ -93,10 +93,13 @@ def _naive_timeout(self, delay, value=None):
 
 def _naive_resume(self, event):
     """Process wakeup through the raising ``ok``/``value`` properties
-    instead of direct slot reads (the pre-§7 resume path)."""
+    instead of direct slot reads (the pre-§7 resume path).  It still
+    names the running process, which ``Simulator.sleep`` needs."""
     if event is not self._waiting_on:
         return
     self._waiting_on = None
+    sim = self.sim
+    sim._active = self
     try:
         if event.ok:
             target = self._generator.send(event.value)
@@ -110,6 +113,8 @@ def _naive_resume(self, event):
         # simlint: disable=broad-except - mirrors Process._resume.
         self.fail(exc)
         return
+    finally:
+        sim._active = None
     self._wait_on(target)
 
 

@@ -38,6 +38,7 @@ from repro.network.loggp import LogGPParams
 from repro.network.packet import (BULK_FRAGMENT_BYTES, Packet, PacketKind,
                                   SHORT_PACKET_BYTES, new_xfer_id)
 from repro.sim import Simulator
+from repro.sim.process import Wait
 
 __all__ = ["AmLayer", "HandlerTable", "DEFAULT_WINDOW", "AmError"]
 
@@ -114,7 +115,8 @@ class AmLayer:
         #: xfer_id -> destination, to return the right pair's credit.
         self._credit_owner: Dict[int, int] = {}
         self._rx_queue: Deque[Packet] = deque()
-        self._wakeup = None
+        #: The host process parked in :meth:`wait_until`, if any.
+        self._parked: Optional[Wait] = None
         self._wakeup_name = f"am-wakeup[{node_id}]"
         #: Cached per-message host costs.  ``params`` and ``knobs`` are
         #: frozen dataclasses, so these cannot drift; caching keeps two
@@ -179,14 +181,16 @@ class AmLayer:
 
     # -- wakeup signalling ---------------------------------------------------
     def _kick(self) -> None:
-        """Wake the host process if it is blocked in :meth:`wait_until`.
+        """Wake the host process if it is parked in :meth:`wait_until`.
 
-        The wakeup fires at most once: it is cleared as it fires, and
-        the next wait arms a fresh one."""
-        wakeup = self._wakeup
-        if wakeup is not None:
-            self._wakeup = None
-            wakeup.succeed(None)
+        The resume is a deferred call at the instant's next sequence
+        number (where ``succeed()`` on a wakeup event would fire), not
+        an event.  It happens at most once: the park is cleared as it
+        fires, and the next wait parks afresh."""
+        parked = self._parked
+        if parked is not None:
+            self._parked = None
+            self.sim._unpark(parked)
 
     def kick(self) -> None:
         """Public wakeup: make a parked :meth:`wait_until` re-check its
@@ -195,9 +199,9 @@ class AmLayer:
         waiting on without sending it a message."""
         self._kick()
 
-    def _arm_wakeup(self):
-        self._wakeup = self.sim.event(name=self._wakeup_name)
-        return self._wakeup
+    def _park(self) -> Wait:
+        self._parked = self.sim._park(self._wakeup_name)
+        return self._parked
 
     # -- polling and waiting --------------------------------------------------
     def poll(self) -> Generator:
@@ -220,10 +224,10 @@ class AmLayer:
         — one frame per message keeps the host-resume path shallow when
         a batch of same-tick arrivals is drained.  The simulated-time
         charges are identical to the unflattened code by construction:
-        one ``recv_cost`` timeout per message, one ``send_cost`` timeout
-        per (auto-)ack, in the same order.
+        one ``recv_cost`` sleep per message, one ``send_cost`` sleep per
+        (auto-)ack, in the same order.
         """
-        yield self.sim.timeout(self._recv_cost)
+        yield self.sim.sleep(self._recv_cost)
         if self.stats is not None:
             self.stats.on_host_recv(self.node_id, packet)
         if self.sanitizer is not None and packet.clock is not None:
@@ -251,7 +255,7 @@ class AmLayer:
                     # so the sender's window credit returns and the
                     # sender pays its second `o` receiving the ack.
                     self._current_replied = True
-                    yield self.sim.timeout(self._send_cost)
+                    yield self.sim.sleep(self._send_cost)
                     ack = Packet(kind=PacketKind.REPLY, src=self.node_id,
                                  dst=packet.src, payload=None,
                                  size_bytes=SHORT_PACKET_BYTES,
@@ -279,10 +283,10 @@ class AmLayer:
 
         The predicate may only become true as a consequence of this node's
         own polling (handler/reply processing) or of NIC-level credit
-        returns; both kick the wakeup event.  The predicate is re-checked
-        after *every* serviced message — a continuously refilling receive
-        queue (e.g. a storm of lock retries) must not starve the waiter
-        whose reply has already been processed.
+        returns; both kick the parked host process.  The predicate is
+        re-checked after *every* serviced message — a continuously
+        refilling receive queue (e.g. a storm of lock retries) must not
+        starve the waiter whose reply has already been processed.
 
         ``wait`` is an optional ``(kind, peer_ranks, detail)`` annotation
         for simsan's wait-for graph; callers pass it only when the
@@ -301,12 +305,12 @@ class AmLayer:
                     yield from self._service(self._rx_queue.popleft())
                     continue
                 if self.recorder is None:
-                    yield self._arm_wakeup()
+                    yield self._park()
                 else:
                     # Same yield, bracketed by two now-reads: the parked
                     # interval becomes the next event's blocked time.
                     parked_at = self.sim.now
-                    yield self._arm_wakeup()
+                    yield self._park()
                     self.recorder.on_blocked(self.node_id,
                                              self.sim.now - parked_at)
         finally:
@@ -373,7 +377,7 @@ class AmLayer:
         """
         self._guard_not_in_handler("send_request")
         yield from self._acquire_credit(dst)
-        yield self.sim.timeout(self._send_cost)
+        yield self.sim.sleep(self._send_cost)
         packet = Packet(kind=PacketKind.REQUEST, src=self.node_id, dst=dst,
                         handler=handler, payload=payload, size_bytes=size,
                         is_read=is_read)
@@ -407,7 +411,7 @@ class AmLayer:
         ``o``).  Used by NOW-sort's one-way Active Messages."""
         self._guard_not_in_handler("send_oneway")
         yield from self._acquire_credit(dst)
-        yield self.sim.timeout(self._send_cost)
+        yield self.sim.sleep(self._send_cost)
         packet = Packet(kind=PacketKind.REQUEST, src=self.node_id, dst=dst,
                         handler=handler, payload=payload, size_bytes=size,
                         one_way=True)
@@ -460,7 +464,7 @@ class AmLayer:
         if nbytes <= 0:
             raise ValueError(f"bulk transfer of {nbytes} bytes")
         yield from self._acquire_credit(dst)
-        yield self.sim.timeout(self._send_cost)
+        yield self.sim.sleep(self._send_cost)
         last = self._enqueue_fragments(dst, handler, payload, nbytes,
                                        one_way=False, is_reply=False)
         if on_complete is not None:
@@ -487,7 +491,7 @@ class AmLayer:
         if nbytes <= 0:
             raise ValueError(f"bulk transfer of {nbytes} bytes")
         yield from self._acquire_credit(dst)
-        yield self.sim.timeout(self._send_cost)
+        yield self.sim.sleep(self._send_cost)
         last = self._enqueue_fragments(dst, handler, payload, nbytes,
                                        one_way=True, is_reply=False)
         self._note_outstanding(last)
@@ -525,7 +529,7 @@ class AmLayer:
               handler: Optional[str] = None) -> Generator:
         """Send the short reply for the request being handled."""
         request = self._take_current_request("reply")
-        yield self.sim.timeout(self._send_cost)
+        yield self.sim.sleep(self._send_cost)
         packet = Packet(kind=PacketKind.REPLY, src=self.node_id,
                         dst=request.src, handler=handler, payload=payload,
                         size_bytes=size, is_read=request.is_read)
@@ -539,7 +543,7 @@ class AmLayer:
         request = self._take_current_request("reply_bulk")
         if nbytes <= 0:
             raise ValueError(f"bulk reply of {nbytes} bytes")
-        yield self.sim.timeout(self._send_cost)
+        yield self.sim.sleep(self._send_cost)
         last = self._enqueue_fragments(
             request.src, handler, (payload, nbytes), nbytes,
             one_way=False, is_reply=True, xfer_id=request.xfer_id,

@@ -3,13 +3,14 @@
 The whole methodology turns four dials — o, g, L, G — through
 :class:`~repro.am.tuning.TuningKnobs`, and both the sweep harness and
 the simcost predictor assume those are the *only* places simulated time
-is charged in the messaging layers.  A hard-coded ``timeout(3.0)`` or
-``succeed(..., delay=0.5)`` inside ``am/`` or ``network/`` is invisible
-to every one of them: sweeps can't turn it, the predictor's symbolic
-edge costs don't include it, and predicted-vs-simulated error quietly
-grows.  This rule flags any timeout/delay charge whose duration is a
-compile-time numeric constant instead of a value derived from the
-machine parameters or knobs.
+is charged in the messaging layers.  A hard-coded ``timeout(3.0)``,
+``sleep(3.0)`` or ``succeed(..., delay=0.5)`` inside ``am/`` or
+``network/`` is invisible to every one of them: sweeps can't turn it,
+the predictor's symbolic edge costs don't include it, and
+predicted-vs-simulated error quietly grows.  This rule flags any
+timeout/sleep/delay charge whose duration is a compile-time numeric
+constant instead of a value derived from the machine parameters or
+knobs.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ class UntrackedDialCostRule(Rule):
     Scoped to ``am/`` and ``network/``: those layers own the o/g/L/G
     accounting, so any stall or delivery delay there must be a function
     of the machine parameters / TuningKnobs, never a literal.  A zero
-    constant is allowed (``timeout(0)`` is the idiomatic yield point).
+    constant is allowed (``timeout(0)`` is the idiomatic yield point,
+    and ``sleep(0)`` is the same).
     """
 
     rule_id = "untracked-dial-cost"
@@ -85,12 +87,12 @@ class UntrackedDialCostRule(Rule):
             callee = node.func
             name = callee.attr if isinstance(callee, ast.Attribute) \
                 else callee.id if isinstance(callee, ast.Name) else None
-            if name == "timeout" and node.args:
+            if name in ("timeout", "sleep") and node.args:
                 value = _constant_value(node.args[0])
                 if value is not None and value != 0.0:
                     yield self.finding(
                         source, node,
-                        f"timeout({value:g}) charges a hard-coded "
+                        f"{name}({value:g}) charges a hard-coded "
                         "duration the dials cannot turn")
             elif name == "succeed":
                 for keyword in node.keywords:

@@ -25,8 +25,8 @@ __all__ = ["UnyieldedBlockingCallRule", "RankDependentCollectiveRule",
 #: Runtime primitives that must be driven with ``yield from`` (or, for
 #: raw simulator events, ``yield``).
 BLOCKING_PRIMITIVES = frozenset({
-    "compute", "poll", "timeout", "barrier", "broadcast", "reduce",
-    "allreduce", "gather", "scatter", "allgather", "alltoall",
+    "compute", "poll", "timeout", "sleep", "barrier", "broadcast",
+    "reduce", "allreduce", "gather", "scatter", "allgather", "alltoall",
     "read", "write", "sync", "bulk_get", "bulk_put",
     "lock", "unlock", "rpc", "send_request", "bulk_rpc", "bulk_store",
     "bulk_oneway", "drain", "wait_until", "reply", "reply_bulk",
@@ -220,7 +220,7 @@ class HandlerArityRule(Rule):
 #: state, and answer via ``reply``/``reply_bulk`` — but blocking on the
 #: network (or recursing into it with fresh requests) from handler
 #: context wedges or reenters the layer.  ``reply``, ``reply_bulk``,
-#: ``compute`` and ``timeout`` stay allowed.
+#: ``compute``, ``timeout`` and ``sleep`` stay allowed.
 HANDLER_BANNED = frozenset({
     "lock", "unlock", "barrier", "broadcast", "reduce", "allreduce",
     "gather", "scatter", "allgather", "alltoall",

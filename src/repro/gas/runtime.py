@@ -99,14 +99,14 @@ class Proc:
         self.node.compute_us += us
         if poll_every_us is None or poll_every_us >= us:
             if us > 0:
-                yield self.sim.timeout(us)
+                yield self.sim.sleep(us)
             return
         if poll_every_us <= 0:
             raise ValueError("poll_every_us must be > 0")
         remaining = us
         while remaining > 0:
             chunk = min(poll_every_us, remaining)
-            yield self.sim.timeout(chunk)
+            yield self.sim.sleep(chunk)
             remaining -= chunk
             yield from self.am.poll()
 

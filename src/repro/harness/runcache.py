@@ -46,8 +46,10 @@ __all__ = ["RunCache", "run_key_spec", "app_fingerprint",
 #: format 4 marks the closed-form NIC servers, which process fewer
 #: events per run, so cached ``events_processed`` counts changed;
 #: format 5 marks the NIC hand-off leaving the event count (it became
-#: a deferred call on the kernel's now-queue), changing them again.
-CACHE_FORMAT = 5
+#: a deferred call on the kernel's now-queue), changing them again;
+#: format 6 marks the AM wakeup leaving it (a parked host process is
+#: resumed by a deferred call).
+CACHE_FORMAT = 6
 
 
 def constructor_params(app_class: type) -> Tuple[str, ...]:

@@ -26,9 +26,15 @@ before injection, and a stall timer only when a packet is waiting
 behind the stall.  A stall that ends on an empty queue
 is not scheduled: the server reserves the heap sequence number the stall
 timer would have taken and pushes the timer at that ``(time, seq)`` only
-if a packet arrives before it would have fired.  Every event with an
+if a packet arrives before it would have fired.  Every timer with an
 effect therefore keeps its heap position, and runs are bit-identical to
 a per-packet process model while processing fewer events.
+
+Every NIC timer -- pre-injection, stall, the ``delta_L`` delay queue
+and the retransmission timer -- is a kernel *timed call*
+(``Simulator._call_later``): a heap entry that calls its callback with
+the packet, with no event behind it, since nothing else ever waits on
+it.  It fires exactly where the equivalent timeout would have.
 
 Flow-control CREDIT packets are generated and consumed entirely inside
 the NIC (never reaching the host) and bypass the transmit gap, standing
@@ -69,7 +75,7 @@ from repro.am.tuning import TuningKnobs
 from repro.network.faults import FaultPlan, RetryExhausted
 from repro.network.loggp import LogGPParams
 from repro.network.packet import Packet, PacketKind
-from repro.sim import Event, Simulator
+from repro.sim import Simulator
 
 __all__ = ["Nic"]
 
@@ -110,10 +116,10 @@ class _FifoServer:
 
     A stall that ends on an empty queue is *virtual*: the server only
     reserves its ``(free_at, seq)`` heap position.  A packet arriving
-    before that position is reached pushes the stall-end event there; one
-    arriving after it starts service at once.  The server starts in a
-    virtual stall ending at its construction instant, standing in for a
-    process's kickoff event.
+    before that position is reached pushes the stall-end timed call
+    there; one arriving after it starts service at once.  The server
+    starts in a virtual stall ending at its construction instant,
+    standing in for a process's kickoff event.
     """
 
     __slots__ = ("sim", "_pre", "_act", "_queue", "_busy", "_pre_time",
@@ -150,31 +156,30 @@ class _FifoServer:
                                   and sim._cur_seq < self._reserved):
             # The virtual stall has not fired yet: schedule it for real.
             self._queue.append(packet)
-            sim._push_reserved(free_at, self._reserved).callbacks.append(
-                self._stall_end)
+            sim._push_reserved(free_at, self._reserved, self._stall_end)
         else:
             sim._defer(self._begin, packet)
 
-    def _stall_end(self, _event: Event) -> None:
+    def _stall_end(self, _arg: None) -> None:
         self.sim._defer(self._begin, self._queue.popleft())
 
     def _begin(self, packet: Packet) -> None:
         pre = self._pre(packet)
         if pre > 0:
             self._pre_time = pre
-            self.sim.timeout(pre, packet).callbacks.append(self._end)
+            self.sim._call_later(pre, self._end, packet)
         else:
             self._finish(packet, 0.0)
 
-    def _end(self, event: Event) -> None:
-        self._finish(event._value, self._pre_time)
+    def _end(self, packet: Packet) -> None:
+        self._finish(packet, self._pre_time)
 
     def _finish(self, packet: Packet, pre: float) -> None:
         stall = self._act(packet, pre)
         sim = self.sim
         if self._queue:
             if stall > 0:
-                sim.timeout(stall).callbacks.append(self._stall_end)
+                sim._call_later(stall, self._stall_end)
             else:
                 sim._defer(self._begin, self._queue.popleft())
             return
@@ -329,12 +334,11 @@ class Nic:
         state.timer_id += 1
         delay = self.faults.retx_timeout_us * \
             (self.faults.retx_backoff ** state.attempts)
-        timer = self.sim.timeout(delay)
-        timer.callbacks.append(
-            lambda _e, p=packet, t=state.timer_id:
-            self._retx_timer_fired(p, t))
+        self.sim._call_later(delay, self._retx_timer_fired,
+                             (packet, state.timer_id))
 
-    def _retx_timer_fired(self, packet: Packet, timer_id: int) -> None:
+    def _retx_timer_fired(self, timer: Tuple[Packet, int]) -> None:
+        packet, timer_id = timer
         state = self._pending_retx.get((packet.dst, packet.seq))
         if state is None or state.timer_id != timer_id:
             return  # acked, or superseded by a later injection's timer
@@ -404,15 +408,15 @@ class Nic:
         receive server's action, returns its stall: none."""
         if self.knobs.delta_L > 0:
             self._delay_queue_depth += 1
-            self.sim.timeout(self.knobs.delta_L, packet).callbacks.append(
-                self._mark_valid_cb)
+            self.sim._call_later(self.knobs.delta_L, self._mark_valid_cb,
+                                 packet)
         else:
             self._accept(packet)
         return 0.0
 
-    def _mark_valid(self, event: Event) -> None:
+    def _mark_valid(self, packet: Packet) -> None:
         self._delay_queue_depth -= 1
-        self._accept(event._value)
+        self._accept(packet)
 
     def _accept(self, packet: Packet) -> None:
         """Process a packet that is now valid in the receive queue."""

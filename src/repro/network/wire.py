@@ -24,7 +24,8 @@ class Wire:
 
     NICs register themselves via :meth:`attach`; :meth:`carry` schedules
     delivery of a packet into the destination NIC's receive context after
-    the base latency.
+    the base latency, as a timed call (no event: only the delivery
+    callback ever sees the arrival).
 
     An optional :class:`~repro.network.faults.FaultInjector` makes the
     fabric imperfect: it may drop a packet outright or stretch its
@@ -73,10 +74,9 @@ class Wire:
         self._max_in_flight = max(self._max_in_flight, self._in_flight)
         self._packets_carried += 1
         packet.injected_at = self.sim.now
-        self.sim.timeout(delay, packet).callbacks.append(self._arrive)
+        self.sim._call_later(delay, self._arrive, packet)
 
-    def _deliver(self, arrival: "Event") -> None:  # noqa: F821
-        packet = arrival._value
+    def _deliver(self, packet: Packet) -> None:
         self._in_flight -= 1
         self._nics[packet.dst].receive_from_wire(packet)
 

@@ -7,7 +7,8 @@ units of the LogGP parameters in the paper).
 
 Public surface:
 
-* :class:`~repro.sim.engine.Simulator` -- the event loop.
+* :class:`~repro.sim.engine.Simulator` -- the event loop; a process
+  suspends with ``yield sim.sleep(delay)`` or on any event.
 * :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout`,
   :class:`~repro.sim.events.AnyOf`, :class:`~repro.sim.events.AllOf`.
 * :class:`~repro.sim.process.Process`, :class:`~repro.sim.process.Interrupt`.

@@ -121,13 +121,15 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` simulated microseconds after creation.
 
-    Timeouts are by far the most common event (every compute region,
-    stall and wire hop is one), so construction stays lean: the label is
-    derived in ``__repr__`` instead of eagerly formatted, and the
-    already-validated event is pushed straight onto the heap rather than
-    through the generic ``_schedule`` checks.  ``Simulator.timeout`` is
-    a still-faster path that bypasses this constructor entirely; the two
-    must stay behaviourally identical.
+    The composable timer: a timer that is combined (``any_of``/
+    ``all_of``), given callbacks or carries a value.  A process that
+    only waits uses ``Simulator.sleep`` and the kernel's own timers are
+    timed calls; neither builds a Timeout.  Construction stays lean: the
+    label is derived in ``__repr__`` instead of eagerly formatted, and
+    the already-validated event is pushed straight onto the heap rather
+    than through the generic ``_schedule`` checks.  ``Simulator.timeout``
+    is a still-faster path that bypasses this constructor entirely; the
+    two must stay behaviourally identical.
     """
 
     __slots__ = ("delay",)

@@ -27,7 +27,7 @@ class Resource:
         req = resource.request()
         yield req
         try:
-            yield sim.timeout(service_time)
+            yield sim.sleep(service_time)
         finally:
             resource.release()
     """

@@ -18,10 +18,17 @@ def _bulk_handler(am, packet):
     yield from am.reply_bulk(packet.payload, 4096)
 
 
+def _slow_echo_handler(am, packet):
+    # Charging service time is computing, not blocking: allowed.
+    yield am.sim.sleep(am.recv_cost)
+    yield from am.reply(packet.payload)
+
+
 class GoodHandlers:
     def register_handlers(self, table):
         table.register("echo", _echo_handler)
         table.register("deposit", _deposit_handler)
+        table.register("slow_echo", _slow_echo_handler)
         table.register("pair", lambda am, pkt: pkt)
 
     def run_rank(self, proc):

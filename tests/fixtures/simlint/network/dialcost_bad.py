@@ -11,3 +11,9 @@ def deliver(self, event):
     event.succeed(None, delay=0.5)  # untracked-dial-cost
     event.succeed(None, delay=self.knobs.delta_L)  # OK: knob-derived
     event.succeed(None)  # OK: immediate
+
+
+def stall(self):
+    yield self.sim.sleep(3.0)  # untracked-dial-cost
+    yield self.sim.sleep(self.knobs.delta_g)  # OK: knob-derived
+    yield self.sim.sleep(0)  # OK: zero

@@ -11,3 +11,8 @@ def tx(self, packet):
 def deliver(self, event):
     event.succeed(None, delay=self.knobs.delta_L)
     event.succeed(None, delay=0)
+
+
+def stall(self, pre):
+    yield self.sim.sleep(max(0.0, self.params.gap - pre))
+    yield self.sim.sleep(0)  # zero, like timeout(0)

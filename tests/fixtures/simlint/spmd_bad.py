@@ -29,3 +29,8 @@ class BadApp:
 
 def _short_handler(am):
     return am
+
+
+def _napping_rank(proc):
+    proc.sim.sleep(2.0)                     # unyielded (line 35)
+    yield proc.sim.sleep(1.0)

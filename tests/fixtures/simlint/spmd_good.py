@@ -10,6 +10,7 @@ class GoodApp:
 
     def setup_rank(self, proc):
         reply = yield from proc.am.rpc(0, "x", None)
+        yield proc.sim.sleep(1.0)
         return reply
 
     def balanced(self, proc):

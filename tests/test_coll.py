@@ -271,14 +271,15 @@ def test_untuned_machine_is_bit_identical_to_legacy_radix():
     # The semantic pin (runtime + every stats counter; the same hash
     # the CI simsan and simcost jobs check) never moves.  The event
     # count is the simulator's own bookkeeping, pinned separately: it
-    # was 18232 before the NIC contexts became closed-form servers, and
-    # 14180 before the NIC hand-off became a deferred call (not an event).
+    # was 18232 before the NIC contexts became closed-form servers,
+    # 14180 before the NIC hand-off became a deferred call (not an event),
+    # and 11284 before the AM wakeup became a parked resume (not an event).
     text = json.dumps({"runtime_us": result.runtime_us,
                        "stats": result.stats.to_dict()}, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "3fc2038a07a97993c4d6a55cd129f3eb32f4a7ea"
         "9cf36275e0c222a542202990")
-    assert result.events_processed == 11284
+    assert result.events_processed == 10641
 
 
 def test_proc_collectives_flow_through_coll_counters():

@@ -24,8 +24,8 @@ def test_reserved_event_at_now_runs_before_pending_now_queue_work():
     # seq: pushed back at the current instant, it must run first.
     reserved = sim._reserve(sim.now)
     sim._defer(lambda tag: log.append((tag, sim._cur_seq)), "deferred")
-    sim._push_reserved(sim.now, reserved).callbacks.append(
-        lambda _e: log.append(("reserved", sim._cur_seq)))
+    sim._push_reserved(sim.now, reserved,
+                       lambda _arg: log.append(("reserved", sim._cur_seq)))
     sim.run()
     assert log == [("reserved", reserved), ("deferred", reserved + 1)]
 
@@ -41,8 +41,7 @@ def test_stall_ending_now_beats_work_queued_at_that_instant():
     def at_one(_event):
         sim.timeout(0.0).callbacks.append(lambda _e: log.append("zero"))
         sim._defer(log.append, "deferred")
-        sim._push_reserved(1.0, reserved).callbacks.append(
-            lambda _e: log.append("stall-end"))
+        sim._push_reserved(1.0, reserved, log.append, "stall-end")
 
     timer.callbacks.append(at_one)
     sim.run()
@@ -236,8 +235,7 @@ class _Kernel:
 
     def push_reserved(self, when, seq, fn):
         sim = self.sim
-        sim._push_reserved(when, seq).callbacks.append(
-            lambda _e: fn(sim._cur_seq))
+        sim._push_reserved(when, seq, lambda _arg: fn(sim._cur_seq))
 
     def run(self):
         self.sim.run()

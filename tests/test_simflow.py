@@ -78,6 +78,30 @@ def test_good_twin_is_clean(stem):
     assert flow_findings(f"{stem}_good.py") == []
 
 
+def test_sleep_is_a_blocking_primitive_to_simflow():
+    """simflow shares simlint's primitive set: a dropped ``sim.sleep``,
+    or a dropped generator helper that sleeps, is caught."""
+    source = SourceFile("m.py", (
+        "def _nap(proc):\n"
+        "    yield proc.sim.sleep(1.0)\n"
+        "\n"
+        "\n"
+        "def _doze(proc):\n"
+        "    proc.sim.sleep(2.0)\n"
+        "\n"
+        "\n"
+        "def run_rank(proc):\n"
+        "    _nap(proc)\n"
+        "    yield from proc.compute(1)\n"
+        "    _doze(proc)\n"))
+    findings = analyze_program({source.path: source})
+    assert sorted((f.rule, f.line, [frame.function for frame in f.chain])
+                  for f in findings) == [
+        ("flow-transitive-blocking", 10, ["run_rank", "_nap"]),
+        ("flow-yield-integrity", 6, ["_doze"]),
+    ]
+
+
 @pytest.mark.parametrize("stem", [c[0] for c in CASES])
 def test_planted_defect_is_invisible_to_simlint(stem):
     """Acceptance: each transitive defect passes every intra-procedural
@@ -409,24 +433,26 @@ def test_flow_summaries_cover_the_runtime_stack():
 #: bookkeeping and ``key`` includes the cache format; both were
 #: re-recorded when the NIC contexts became closed-form servers
 #: (radix 5326 -> 4103 events, barnes 8542 -> 6617; cache format 3 -> 4)
-#: and again when the NIC hand-off became a deferred call, which is
-#: not an event (radix 3261, barnes 5571; cache format 5).
+#: again when the NIC hand-off became a deferred call, which is not an
+#: event (radix 3261, barnes 5571; cache format 5), and again when the
+#: AM wakeup became a parked resume (radix 3089, barnes 4843; cache
+#: format 6).
 _PINS = {
     "radix": {
         "runtime_us": 2069.3999999999905,
         "stats": ("bde7827d60c8b9df889dedffa4af58db9e027097"
                   "ffe01e613916d5d816db72fd"),
-        "events": 3261,
-        "key": ("8ebb33b04259c3d96c2540b4ad21a459c9672218"
-                "092b912a0ac2e813650cbd72"),
+        "events": 3089,
+        "key": ("5ae176d4472c8af6f242c2564362c8b0060fff76"
+                "b73c53e65088cb5064e8fafa"),
     },
     "barnes": {
         "runtime_us": 4051.680000000008,
         "stats": ("b67f272172645a3496f5225befbc5a7d68d8e7e8"
                   "8a1ca784df389de67bb568a1"),
-        "events": 5571,
-        "key": ("642db9402e291eddb02af07d688e5221dcf97f9b"
-                "64570f5cb5f4687309e6fe6d"),
+        "events": 4843,
+        "key": ("e33cf4d23478897e7238ea6d5a6ee5e159d8e18a"
+                "dc9d7ad94e5127171503d258"),
     },
 }
 

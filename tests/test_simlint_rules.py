@@ -82,11 +82,11 @@ def test_seed_independent_rule_flags_salt_only_fault_rng():
 def test_spmd_bad_fixture_golden_findings():
     findings = findings_for("spmd_bad.py")
     assert lines_by_rule(findings, "unyielded-blocking-call") == \
-        [6, 7, 9, 13]
+        [6, 7, 9, 13, 35]
     assert lines_by_rule(findings, "rank-dependent-collective") == \
         [17, 20]
     assert lines_by_rule(findings, "handler-arity") == [26, 27]
-    assert len(findings) == 8
+    assert len(findings) == 9
 
 
 def test_spmd_good_fixture_is_clean():
@@ -145,8 +145,8 @@ def test_module_mutable_state_only_fires_under_apps():
 
 def test_dialcost_bad_fixture_golden_findings():
     findings = findings_for("network/dialcost_bad.py")
-    assert lines_by_rule(findings, "untracked-dial-cost") == [5, 6, 11]
-    assert len(findings) == 3
+    assert lines_by_rule(findings, "untracked-dial-cost") == [5, 6, 11, 17]
+    assert len(findings) == 4
 
 
 def test_dialcost_good_fixture_is_clean():
@@ -163,7 +163,7 @@ def test_dialcost_only_fires_under_am_or_network():
         assert lines_by_rule(findings, "untracked-dial-cost") == []
     source = SourceFile("am/layer.py", text)
     findings = analyze_source(source, default_rules())
-    assert lines_by_rule(findings, "untracked-dial-cost") == [5, 6, 11]
+    assert lines_by_rule(findings, "untracked-dial-cost") == [5, 6, 11, 17]
 
 
 def test_dialcost_real_messaging_layers_are_clean():
