@@ -5,8 +5,9 @@
   the same inputs on 16 and 32 nodes).
 * :mod:`repro.harness.sweeps` -- LogGP parameter sweeps producing
   slowdown curves (Figures 5-8).
-* :mod:`repro.harness.parallel` -- process-pool fan-out of sweep points
-  and whole experiments (bit-identical to serial execution).
+* :mod:`repro.harness.parallel` -- the one crash-safe task runner
+  behind sweep points, campaigns and whole-experiment fan-out
+  (bit-identical to serial execution).
 * :mod:`repro.harness.runcache` -- content-addressed on-disk cache of
   completed runs, so regenerating artifacts skips known points.
 * :mod:`repro.harness.store` / :mod:`repro.harness.campaign` -- the
@@ -24,8 +25,7 @@ from repro.harness.sweeps import (SweepPoint, SweepResult, run_sweep,
                                   overhead_sweep, gap_sweep, latency_sweep,
                                   bulk_bandwidth_sweep, fault_sweep,
                                   spike_decay_sweep)
-from repro.harness.parallel import (run_sweep_parallel,
-                                    run_experiments_parallel)
+from repro.harness.parallel import run_experiments_parallel
 from repro.harness.runcache import RunCache
 from repro.harness.store import ResultStore
 from repro.harness.campaign import (CampaignSpec, CampaignReport,
@@ -43,7 +43,6 @@ from repro.harness.export import (write_matrix_csv, write_rows_csv,
 __all__ = ["suite_for", "REFERENCE_NODES", "SweepPoint", "SweepResult",
            "run_sweep", "overhead_sweep", "gap_sweep", "latency_sweep",
            "bulk_bandwidth_sweep", "fault_sweep", "spike_decay_sweep",
-           "run_sweep_parallel",
            "run_experiments_parallel", "RunCache", "ResultStore",
            "CampaignSpec", "CampaignReport", "CampaignInterrupted",
            "run_campaign", "sweep_from_store", "figure_from_store",

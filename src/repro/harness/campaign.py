@@ -17,17 +17,17 @@ This module is that contract, modeled on MBradbury/slp's
 * :func:`run_campaign` — the resumable runner.  Points already in the
   :class:`~repro.harness.store.ResultStore` are skipped outright; the
   rest are probed against the RunCache, and only genuine misses are
-  simulated, streamed through a ``ProcessPoolExecutor`` with
-  ``as_completed`` and **persisted the moment each one finishes**.  A
-  worker crash (``BrokenProcessPool``) re-queues only the tasks whose
-  futures never completed, on a fresh pool.
+  simulated, through the same
+  :func:`~repro.harness.parallel.run_tasks` runner sweeps use, and
+  **persisted the moment each one finishes**.
 * query-side generation — :func:`sweep_from_store` /
   :func:`figure_from_store` / :func:`render_campaign` rebuild
   EXPERIMENTS-style artifacts from stored rows alone, so regeneration
   is a ``SELECT``, not a resimulation, and an interrupted-then-resumed
   campaign renders byte-identically to an uninterrupted one.
 
-Crash-safety guarantees, precisely:
+Crash-safety guarantees, precisely (the runner gives sweeps and
+experiment fan-out the same ones):
 
 1. a point is either fully persisted (store row + cache entry) or will
    be re-run — there is no partial state;
@@ -35,7 +35,9 @@ Crash-safety guarantees, precisely:
    never completed (``tests/test_campaign.py`` pins this with a
    differential interrupted-vs-uninterrupted test);
 3. a SIGKILLed worker loses at most the points in flight; the runner
-   finishes the campaign in the same invocation by re-queuing them.
+   finishes the campaign in the same invocation by re-queuing them;
+4. a point that raises outside the failure taxonomy is re-raised only
+   after every other point has finished and been persisted.
 """
 
 from __future__ import annotations
@@ -45,16 +47,14 @@ import json
 import math
 import statistics
 import time
-from concurrent.futures import as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
                     Tuple)
 
 from repro.am.tuning import TuningKnobs
 from repro.cluster.presets import MACHINE_PRESETS
-from repro.harness.parallel import PointTask, _pool, default_jobs, \
-    execute_point
+from repro.harness import parallel
+from repro.harness.parallel import PointTask, default_jobs
 from repro.harness.runcache import RunCache
 from repro.harness.store import ResultStore
 from repro.harness.suite import suite_for
@@ -384,23 +384,22 @@ def run_campaign(spec: CampaignSpec, store: ResultStore,
                  cache: Optional[RunCache] = None,
                  jobs: Optional[int] = None,
                  interrupt_after: Optional[int] = None,
-                 max_requeues: int = 8,
                  progress: Optional[Callable[[str], None]] = None
                  ) -> CampaignReport:
     """Run (or resume) one campaign; every finished point is durable.
 
     The store is consulted first — points with rows are never re-run.
     Store misses are probed against the RunCache (a hit is persisted
-    to the store without simulating).  Remaining points stream through
-    a process pool; each is written to the store *and* the cache the
-    moment its future completes, so progress survives any interruption.
+    to the store without simulating).  Remaining points run through
+    :func:`~repro.harness.parallel.run_tasks`; each is written to the
+    store *and* the cache the moment it finishes, so progress survives
+    any interruption.
 
     ``interrupt_after=N`` raises :class:`CampaignInterrupted` after N
     newly simulated points have been persisted — the deterministic
     stand-in for a mid-campaign crash.  A worker killed out from under
-    the pool (``BrokenProcessPool``) does *not* abort the campaign:
-    the tasks whose futures never completed are re-queued on a fresh
-    pool, up to ``max_requeues`` times.
+    the pool does *not* abort the campaign: the runner re-queues the
+    tasks it lost (counted in ``requeued_points``).
     """
     started = time.perf_counter()
     say = progress if progress is not None else (lambda _line: None)
@@ -441,11 +440,10 @@ def run_campaign(spec: CampaignSpec, store: ResultStore,
 
     workers = jobs if jobs is not None else default_jobs()
     computed = 0
-    requeued = 0
 
-    def finish(point: CampaignPoint, sweep_point: SweepPoint) -> None:
+    def finish(index: int, sweep_point: SweepPoint) -> None:
         nonlocal computed
-        persist(point, sweep_point.result, sweep_point.failure,
+        persist(todo[index], sweep_point.result, sweep_point.failure,
                 to_cache=True)
         computed += 1
         if computed % 10 == 0 or computed == len(todo):
@@ -456,45 +454,11 @@ def run_campaign(spec: CampaignSpec, store: ResultStore,
                 f"campaign {spec.name!r} interrupted after {computed} "
                 f"computed points (all persisted; re-run to resume)")
 
-    try:
-        if todo and workers > 1:
-            remaining = todo
-            attempts = 0
-            while remaining:
-                crashed: List[CampaignPoint] = []
-                with _pool(min(workers, len(remaining))) as pool:
-                    futures = {pool.submit(execute_point, p.task): p
-                               for p in remaining}
-                    for future in as_completed(futures):
-                        point = futures[future]
-                        try:
-                            sweep_point = future.result()
-                        except BrokenProcessPool:
-                            # This future's task was lost with the dead
-                            # worker (or never started).  Completed
-                            # futures are unaffected — their results
-                            # were already delivered and persisted.
-                            crashed.append(point)
-                            continue
-                        finish(point, sweep_point)
-                if not crashed:
-                    break
-                attempts += 1
-                if attempts > max_requeues:
-                    raise BrokenProcessPool(
-                        f"campaign {spec.name!r}: workers kept crashing "
-                        f"after {max_requeues} re-queue rounds; "
-                        f"{len(crashed)} point(s) unfinished (all "
-                        "completed points are persisted)")
-                requeued += len(crashed)
-                say(f"worker crash: re-queuing {len(crashed)} lost "
-                    f"task(s) on a fresh pool (round {attempts})")
-                remaining = crashed
-        else:
-            for point in todo:
-                finish(point, execute_point(point.task))
-    finally:
-        elapsed = time.perf_counter() - started
+    # Looked up per call: tests and ``--profile`` patch the module seam.
+    requeued = parallel.run_tasks(parallel.execute_point,
+                                  [point.task for point in todo],
+                                  workers, finish)
+    elapsed = time.perf_counter() - started
 
     na_points = store.count_failures(spec.name)
     report = CampaignReport(
@@ -647,25 +611,6 @@ def ensemble_from_store(store: ResultStore, spec: CampaignSpec,
     return ensemble
 
 
-@dataclass
-class CampaignFigure:
-    """A rendered set of per-app sweeps for one (P, dial) pair."""
-
-    title: str
-    x_label: str
-    sweeps: Dict[str, SweepResult] = field(default_factory=dict)
-
-    def max_slowdown(self, app_name: str) -> Optional[float]:
-        series = self.sweeps[app_name].series()
-        return max(y for _x, y in series) if series else None
-
-    def render(self) -> str:
-        from repro.harness.report import ascii_plot
-        return ascii_plot(
-            {name: sweep.series() for name, sweep in self.sweeps.items()},
-            title=self.title, x_label=self.x_label, y_label="slowdown")
-
-
 #: Axis labels for the dials a campaign can sweep.
 _DIAL_LABELS = {"overhead": "overhead (us)", "gap": "gap (us)",
                 "latency": "latency (us)",
@@ -676,9 +621,12 @@ _DIAL_LABELS = {"overhead": "overhead (us)", "gap": "gap (us)",
 
 def figure_from_store(store: ResultStore, spec: CampaignSpec,
                       parameter: str, n_nodes: int,
-                      seed: Optional[int] = None) -> CampaignFigure:
+                      seed: Optional[int] = None
+                      ) -> "SensitivityFigure":  # noqa: F821
     """All apps' sweeps for one (P, dial), from store rows alone."""
-    figure = CampaignFigure(
+    # Imported lazily: experiments pulls in every paper entry point.
+    from repro.harness.experiments import SensitivityFigure
+    figure = SensitivityFigure(
         title=f"campaign {spec.name} ({n_nodes} nodes): sensitivity "
               f"to {parameter}",
         x_label=_DIAL_LABELS.get(parameter, parameter))

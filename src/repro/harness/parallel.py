@@ -1,28 +1,35 @@
-"""Parallel execution of sweep points and whole experiments.
+"""One crash-safe task runner for sweeps, campaigns and experiments.
 
 Every point of Figures 5-8 (and every table artifact) is an independent
-deterministic simulation, so the evaluation is embarrassingly parallel
-at two granularities:
+deterministic simulation, so the evaluation is embarrassingly parallel.
+:func:`run_tasks` is the one place that fans such work out; its three
+callers are thin:
 
-* **sweep points** — :func:`run_sweep_parallel` fans the (value, knobs)
-  grid of one sweep across a ``ProcessPoolExecutor``.  Each worker runs
-  the exact same :func:`execute_point` the serial path uses, so results
-  are bit-identical to serial execution (same seed → same ``runtime_us``
+* **sweep points** — :func:`run_sweep_points` (behind ``run_sweep``,
+  ``fault_sweep`` and ``serving_sweep``) runs the cache misses of one
+  (value, knobs) grid.  Each worker runs the exact same
+  :func:`execute_point` the in-process path uses, so results are
+  bit-identical to serial execution (same seed → same ``runtime_us``
   and ``events_processed``) and livelocked / over-budget points come
   back as the same ``N/A`` :class:`~repro.harness.sweeps.SweepPoint`.
+* **campaigns** — :func:`repro.harness.campaign.run_campaign` runs the
+  store and cache misses of a campaign grid through :func:`run_tasks`.
 * **experiments** — :func:`run_experiments_parallel` fans whole
   figure/table entry points of :mod:`repro.harness.experiments` across
-  workers, for drivers like ``scripts/generate_experiments.py`` that
-  regenerate many artifacts at once.
+  workers, for drivers like ``scripts/generate_experiments.py``.
 
-Both layers consult an optional :class:`~repro.harness.runcache.
-RunCache` so previously computed points are never re-simulated; cache
-probing happens in the parent, and only misses are shipped to workers.
-Each computed point is cached the moment its future completes (not
-after the whole batch), so an interrupted sweep — crash, Ctrl-C, or a
-raising worker — keeps every point that finished; the rerun serves
-them as hits and resimulates only the lost ones.  The campaign layer
-(:mod:`repro.harness.campaign`) builds its resume contract on this.
+Crash safety is therefore the same on every path:
+
+1. each result reaches its caller the moment its task finishes, and
+   sweeps and campaigns persist it right there (cache entry, store
+   row), so an interrupted run keeps every point that finished and
+   the rerun resimulates only the lost ones;
+2. a worker killed mid-task (``BrokenProcessPool``) loses only the
+   tasks in flight, which are re-queued on a fresh pool, up to
+   :data:`MAX_REQUEUES` times, within the same call;
+3. a task that raises outside the failure taxonomy does not cost the
+   other tasks: its error is re-raised once they have all finished
+   and been handed over.
 """
 
 from __future__ import annotations
@@ -30,7 +37,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.am.tuning import TuningKnobs
@@ -42,8 +50,13 @@ from repro.network.faults import FaultError, FaultPlan
 from repro.network.loggp import LogGPParams
 from repro.sanitize.reports import DeadlockError
 
-__all__ = ["execute_point", "run_sweep_points", "run_sweep_parallel",
-           "run_experiments_parallel", "default_jobs", "PointTask"]
+__all__ = ["run_tasks", "MAX_REQUEUES", "execute_point",
+           "run_sweep_points", "run_experiments_parallel", "default_jobs",
+           "PointTask"]
+
+#: Fresh pools one :func:`run_tasks` call may start after its workers
+#: died (``BrokenProcessPool``) before it gives up on the lost tasks.
+MAX_REQUEUES = 8
 
 
 def default_jobs() -> int:
@@ -61,6 +74,75 @@ def _pool(jobs: int) -> ProcessPoolExecutor:
     else:  # pragma: no cover - non-POSIX platforms
         context = multiprocessing.get_context()
     return ProcessPoolExecutor(max_workers=jobs, mp_context=context)
+
+
+def run_tasks(fn: Callable[[Any], Any], tasks: Sequence[Any], jobs: int,
+              done: Callable[[int, Any], None]) -> int:
+    """Run ``fn(task)`` for every task; hand each result to ``done``.
+
+    ``done(index, result)`` runs in the calling process the moment
+    ``tasks[index]`` finishes, in completion order, so callers persist
+    each result before the next one arrives.  ``jobs <= 1`` runs the
+    tasks in-process, in order; otherwise they stream through a pool
+    of ``min(jobs, len(tasks))`` workers.
+
+    A worker killed mid-task breaks the pool; the tasks that never
+    finished are re-queued, in task order, on a fresh pool, up to
+    :data:`MAX_REQUEUES` times (then ``BrokenProcessPool`` is raised).
+    A task's own exception is re-raised (the first one) only after
+    every other task has finished and been handed to ``done``.  An
+    exception raised by ``done`` itself stops the run at once.
+
+    Returns the number of tasks re-queued after worker crashes.
+    """
+    error: Optional[Exception] = None
+    requeued = 0
+    if jobs <= 1:
+        for index, task in enumerate(tasks):
+            try:
+                result = fn(task)
+            # Deferred, not swallowed: re-raised after the other tasks.
+            except Exception as exc:  # simlint: disable=broad-except
+                error = error or exc
+                continue
+            done(index, result)
+    pending = list(range(len(tasks))) if jobs > 1 else []
+    rounds = 0
+    while pending:
+        lost: List[int] = []
+        with _pool(min(jobs, len(pending))) as pool:
+            futures = {pool.submit(fn, tasks[index]): index
+                       for index in pending}
+            try:
+                for future in as_completed(futures):
+                    index = futures[future]
+                    try:
+                        result = future.result()
+                    except BrokenProcessPool:
+                        # Lost with a dead worker (or never started).
+                        lost.append(index)
+                        continue
+                    # Deferred, not swallowed: re-raised after the drain.
+                    except Exception as exc:  # simlint: disable=broad-except
+                        error = error or exc
+                        continue
+                    done(index, result)
+            except BaseException:
+                # done() raised, or the caller was interrupted: run
+                # nothing more than what is already in flight.
+                pool.shutdown(cancel_futures=True)
+                raise
+        if lost and rounds == MAX_REQUEUES:
+            raise BrokenProcessPool(
+                f"workers kept crashing after {MAX_REQUEUES} re-queue "
+                f"rounds; {len(lost)} task(s) unfinished (every "
+                "completed result was handed over)")
+        requeued += len(lost)
+        rounds += 1
+        pending = sorted(lost)
+    if error is not None:
+        raise error
+    return requeued
 
 
 @dataclass(frozen=True)
@@ -192,46 +274,17 @@ def run_sweep_points(app: Any, n_nodes: int, parameter: str,
                 continue
         pending.append(index)
 
-    def finish(index: int, point: SweepPoint) -> None:
-        """Record one computed point and persist it *immediately*.
-
-        Caching per point (not after the whole batch, as this engine
-        once did) is what makes an interrupted sweep resumable: a
-        crash, Ctrl-C, or one raising worker no longer discards every
-        point that had already finished — the rerun serves them as
-        cache hits and only simulates the genuinely lost ones.
-        """
+    def finish(slot: int, point: SweepPoint) -> None:
+        """Record one computed point and cache it *immediately*, so an
+        interrupted sweep keeps every point that finished."""
+        index = pending[slot]
         points[index] = point
         if cache is not None:
             cache.put(tasks[index].key_spec(),
                       result=point.result, failure=point.failure)
 
-    workers = jobs if jobs is not None else 1
-    if pending and workers > 1:
-        with _pool(min(workers, len(pending))) as pool:
-            futures = {pool.submit(execute_point, tasks[index]): index
-                       for index in pending}
-            # as_completed (not pool.map) so every finished point is
-            # cached even when a later future fails: a worker killed
-            # mid-task breaks the whole pool, and an exception that
-            # escapes execute_point's failure taxonomy aborts the
-            # sweep — either way the completed points must survive.
-            error: Optional[BaseException] = None
-            for future in as_completed(futures):
-                try:
-                    point = future.result()
-                # Deferred, not swallowed: the first failure is re-raised
-                # after the drain, once every completed point is cached.
-                except BaseException as exc:  # simlint: disable=broad-except
-                    if error is None:
-                        error = exc
-                    continue
-                finish(futures[future], point)
-            if error is not None:
-                raise error
-    else:
-        for index in pending:
-            finish(index, execute_point(tasks[index]))
+    run_tasks(execute_point, [tasks[index] for index in pending],
+              jobs if jobs is not None else 1, finish)
 
     sweep = SweepResult(app_name=app.name, n_nodes=n_nodes,
                         parameter=parameter)
@@ -239,37 +292,14 @@ def run_sweep_points(app: Any, n_nodes: int, parameter: str,
     return sweep
 
 
-def run_sweep_parallel(app: Any, n_nodes: int, parameter: str,
-                       values: Sequence[float],
-                       knob_for: Callable[[float], TuningKnobs],
-                       jobs: Optional[int] = None,
-                       **kwargs) -> SweepResult:
-    """:func:`run_sweep_points` with a pool sized to the machine.
-
-    Accepts every keyword :func:`repro.harness.sweeps.run_sweep` does,
-    plus ``cache``; ``jobs`` defaults to one worker per core.
-    """
-    if jobs is None:
-        jobs = default_jobs()
-    return run_sweep_points(app, n_nodes, parameter, values, knob_for,
-                            jobs=jobs, **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # Experiment-level fan-out.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _ExperimentTask:
-    """One ``repro.harness.experiments`` entry point invocation."""
-
-    name: str
-    kwargs: Dict[str, Any] = field(default_factory=dict)
-
-
-def _run_experiment(task: _ExperimentTask) -> Any:
+def _run_experiment(request: Tuple[str, Dict[str, Any]]) -> Any:
     from repro.harness import experiments
-    return getattr(experiments, task.name)(**task.kwargs)
+    name, kwargs = request
+    return getattr(experiments, name)(**kwargs)
 
 
 def run_experiments_parallel(requests: Sequence[Tuple[str, Dict[str, Any]]],
@@ -279,18 +309,20 @@ def run_experiments_parallel(requests: Sequence[Tuple[str, Dict[str, Any]]],
     ``requests`` is a sequence of ``(name, kwargs)`` pairs where ``name``
     is an attribute of :mod:`repro.harness.experiments` (e.g.
     ``"figure5_overhead"``).  Results come back in request order, each
-    exactly what the named entry point returns.  With ``jobs<=1`` the
-    requests run serially in-process (identical results, no pool).
+    exactly what the named entry point returns.  ``jobs`` defaults to
+    one worker per core; ``jobs<=1`` runs the requests in-process
+    (identical results, no pool).
     """
-    tasks = []
-    for name, kwargs in requests:
-        from repro.harness import experiments
+    from repro.harness import experiments
+    for name, _kwargs in requests:
         if not hasattr(experiments, name):
             raise KeyError(f"unknown experiment {name!r}")
-        tasks.append(_ExperimentTask(name=name, kwargs=dict(kwargs)))
-    if jobs is None:
-        jobs = default_jobs()
-    if jobs <= 1 or len(tasks) <= 1:
-        return [_run_experiment(task) for task in tasks]
-    with _pool(min(jobs, len(tasks))) as pool:
-        return list(pool.map(_run_experiment, tasks))
+    results: List[Any] = [None] * len(requests)
+
+    def finish(index: int, result: Any) -> None:
+        results[index] = result
+
+    run_tasks(_run_experiment,
+              [(name, dict(kwargs)) for name, kwargs in requests],
+              jobs if jobs is not None else default_jobs(), finish)
+    return results

@@ -107,10 +107,6 @@ class ResultStore:
         self._db.execute("PRAGMA synchronous=NORMAL")
         self._db.executescript(_SCHEMA)
         self._check_schema_version()
-        #: Resume accounting for the session, mirroring RunCache's
-        #: hits/misses counters.
-        self.hits = 0
-        self.misses = 0
 
     def _check_schema_version(self) -> None:
         row = self._db.execute(
@@ -153,9 +149,7 @@ class ResultStore:
             "SELECT failure, result FROM results "
             "WHERE campaign=? AND key=?", (campaign, key)).fetchone()
         if row is None:
-            self.misses += 1
             return None
-        self.hits += 1
         failure, payload = row
         if failure is not None:
             return (None, failure)
@@ -254,5 +248,4 @@ class ResultStore:
     def describe(self) -> str:
         """One-line summary for CLI output."""
         return (f"ResultStore({self.path}, {len(self)} points in "
-                f"{len(self.campaigns())} campaigns, {self.hits} hits / "
-                f"{self.misses} misses this session)")
+                f"{len(self.campaigns())} campaigns)")

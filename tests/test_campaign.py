@@ -22,14 +22,17 @@ from repro.cluster.machine import Cluster
 from repro.coll.tuner import CollConfig
 from repro.harness import (CampaignInterrupted, CampaignSpec, ResultStore,
                            RunCache, ensemble_from_store, overhead_sweep,
-                           render_campaign, run_campaign, sweep_from_store)
-from repro.harness import campaign as campaign_mod
+                           render_campaign, run_campaign,
+                           run_experiments_parallel, run_sweep,
+                           sweep_from_store)
 from repro.harness import parallel as parallel_mod
 from repro.harness.parallel import execute_point
 from repro.harness.runcache import run_key_spec
 from repro.harness.store import STORE_SCHEMA_VERSION
+from repro.harness.sweeps import knob_factory
 from repro.network.faults import DelaySpike, FaultPlan, SlowdownWindow
 from repro.network.loggp import LogGPParams
+from repro.serve import KVServe, serving_sweep
 
 
 def tiny_radix():
@@ -80,6 +83,13 @@ def _kill_worker_once(task):
     return execute_point(task)
 
 
+def _raise_on_marker(task):
+    """A bug outside the failure taxonomy, on the marker value only."""
+    if task.value == _CRASH_VALUE:
+        raise RuntimeError("planted bug in one task")
+    return execute_point(task)
+
+
 # ---------------------------------------------------------------------------
 # Satellite 1 regression: a worker crash must not discard the points
 # that already finished (the old engine cached only after the batch).
@@ -90,6 +100,8 @@ def test_worker_sigkill_keeps_completed_points(tmp_path, monkeypatch):
                         _kill_worker_on_marker)
     cache = RunCache(tmp_path)
     grid = (2.9, 22.9, _CRASH_VALUE)
+    # The marker point kills every worker it lands on, so the runner's
+    # re-queue rounds run out and the crash surfaces.
     with pytest.raises(BrokenProcessPool):
         overhead_sweep(tiny_radix(), n_nodes=4, overheads=grid,
                        cache=cache, jobs=2)
@@ -206,7 +218,6 @@ def test_store_roundtrip_result_and_failure_rows(tmp_path):
         assert (restored.stats.matrix == result.stats.matrix).all()
         assert store.get("c", "k-na") == (None, "livelock: budget")
         assert store.get("c", "absent") is None
-        assert store.hits == 2 and store.misses == 1
         assert store.keys("c") == {key, "k-na"}
         assert store.count("c") == 2 and len(store) == 2
         assert store.count_failures("c") == 1
@@ -362,7 +373,7 @@ def test_campaign_cache_fills_store_without_simulating(tmp_path):
 
 def test_run_campaign_requeues_after_worker_crash(tmp_path, monkeypatch):
     _CRASH_FLAG["path"] = str(tmp_path / "crashed.flag")
-    monkeypatch.setattr(campaign_mod, "execute_point", _kill_worker_once)
+    monkeypatch.setattr(parallel_mod, "execute_point", _kill_worker_once)
     spec = small_campaign("requeue", values=(2.9, 22.9, _CRASH_VALUE))
     with ResultStore(tmp_path / "s.sqlite") as store:
         report = run_campaign(spec, store, jobs=2)
@@ -434,3 +445,87 @@ def test_sweep_from_store_matches_direct_sweep(tmp_path):
     direct = overhead_sweep(app, n_nodes=4, overheads=values)
     assert sweep_fingerprint(from_store) == sweep_fingerprint(direct)
     assert from_store.slowdowns() == direct.slowdowns()
+
+
+# ---------------------------------------------------------------------------
+# One runner, one crash contract: every fan-out entry point survives a
+# SIGKILLed worker and keeps every other point when one task raises.
+# ---------------------------------------------------------------------------
+
+#: The marker point goes first, so a planted raise reaches the parent
+#: while the other points are still running.
+_CRASH_GRID = (_CRASH_VALUE, 2.9, 22.9)
+
+
+def _via_run_sweep(cache, store, jobs):
+    sweep = run_sweep(tiny_radix(), 4, "overhead", _CRASH_GRID,
+                      knob_factory("overhead"), cache=cache, jobs=jobs)
+    return [sweep_fingerprint(sweep)], None
+
+
+def _via_serving_sweep(cache, store, jobs):
+    app = KVServe(offered_rps=300_000.0, n_users=1_000,
+                  duration_us=2_000.0, max_requests=40, service_us=4.0)
+    sweep = serving_sweep(app, 4, "overhead", _CRASH_GRID, cache=cache,
+                          jobs=jobs)
+    return [sweep_fingerprint(sweep)], None
+
+
+def _via_run_campaign(cache, store, jobs):
+    spec = small_campaign("crash", values=_CRASH_GRID)
+    report = run_campaign(spec, store, cache=cache, jobs=jobs)
+    sweep = sweep_from_store(store, spec, "Radix", 4, "overhead")
+    return [sweep_fingerprint(sweep)], report
+
+
+def _via_run_experiments_parallel(cache, store, jobs):
+    def request(overheads):
+        return ("figure5_overhead",
+                {"n_nodes": 4, "scale": 0.05, "names": ["Radix"],
+                 "overheads": overheads, "cache": cache})
+    figures = run_experiments_parallel(
+        [request((2.9, 22.9)), request((_CRASH_VALUE, 2.9))], jobs=jobs)
+    return [sweep_fingerprint(figure.sweeps["Radix"])
+            for figure in figures], None
+
+
+_ENTRY_POINTS = {"run_sweep": _via_run_sweep,
+                 "serving_sweep": _via_serving_sweep,
+                 "run_campaign": _via_run_campaign,
+                 "run_experiments_parallel": _via_run_experiments_parallel}
+
+
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+@pytest.mark.parametrize("crash", ["sigkill", "raise"])
+def test_crash_contract_on_every_entry_point(entry, crash, tmp_path,
+                                             monkeypatch):
+    run = _ENTRY_POINTS[entry]
+    reference_cache = RunCache(tmp_path / "ref-cache")
+    with ResultStore(tmp_path / "ref.sqlite") as store:
+        reference, _ = run(reference_cache, store, jobs=1)
+
+    if crash == "sigkill":
+        # The lost task is re-queued on a fresh pool and the call
+        # finishes with exactly the serial results.
+        _CRASH_FLAG["path"] = str(tmp_path / "crashed.flag")
+        monkeypatch.setattr(parallel_mod, "execute_point",
+                            _kill_worker_once)
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            fanned, report = run(RunCache(tmp_path / "cache"), store,
+                                 jobs=2)
+        assert os.path.exists(_CRASH_FLAG["path"])
+        assert fanned == reference
+        if report is not None:
+            assert report.requeued_points >= 1
+        return
+    # Every other point finishes and is persisted before the planted
+    # error surfaces, in-process and pooled alike.
+    monkeypatch.setattr(parallel_mod, "execute_point", _raise_on_marker)
+    for jobs in (1, 2):
+        cache = RunCache(tmp_path / f"cache{jobs}")
+        with ResultStore(tmp_path / f"s{jobs}.sqlite") as store:
+            with pytest.raises(RuntimeError, match="planted bug"):
+                run(cache, store, jobs=jobs)
+            assert len(cache) == len(reference_cache) - 1
+            if entry == "run_campaign":
+                assert store.count("crash") == len(_CRASH_GRID) - 1

@@ -13,9 +13,8 @@ import pytest
 from repro.am.tuning import TuningKnobs
 from repro.apps import Barnes, RadixSort
 from repro.cluster.machine import Cluster
-from repro.harness import RunCache, overhead_sweep, run_sweep
-from repro.harness.parallel import (run_experiments_parallel,
-                                    run_sweep_parallel)
+from repro.harness import RunCache, overhead_sweep
+from repro.harness.parallel import default_jobs, run_experiments_parallel
 from repro.harness.runcache import run_key_spec
 from repro.harness.sweeps import SweepPoint, SweepResult
 from repro.network.loggp import LogGPParams
@@ -50,18 +49,11 @@ def test_same_config_runs_identically_twice():
 def test_parallel_sweep_bit_identical_to_serial():
     serial = overhead_sweep(tiny_radix(), n_nodes=4,
                             overheads=(2.9, 22.9, 52.9), seed=7)
-    parallel = overhead_sweep(tiny_radix(), n_nodes=4,
-                              overheads=(2.9, 22.9, 52.9), seed=7,
-                              jobs=2)
-    assert sweep_fingerprint(serial) == sweep_fingerprint(parallel)
-
-
-def test_run_sweep_parallel_defaults_match_serial():
-    serial = run_sweep(tiny_radix(), 4, "overhead", (0.0, 20.0),
-                       TuningKnobs.added_overhead)
-    parallel = run_sweep_parallel(tiny_radix(), 4, "overhead",
-                                  (0.0, 20.0), TuningKnobs.added_overhead)
-    assert sweep_fingerprint(serial) == sweep_fingerprint(parallel)
+    for jobs in (2, default_jobs()):
+        parallel = overhead_sweep(tiny_radix(), n_nodes=4,
+                                  overheads=(2.9, 22.9, 52.9), seed=7,
+                                  jobs=jobs)
+        assert sweep_fingerprint(serial) == sweep_fingerprint(parallel)
 
 
 # ---------------------------------------------------------------------------
