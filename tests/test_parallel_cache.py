@@ -16,7 +16,7 @@ from repro.cluster.machine import Cluster
 from repro.harness import RunCache, overhead_sweep
 from repro.harness.parallel import default_jobs, run_experiments_parallel
 from repro.harness.runcache import run_key_spec
-from repro.harness.sweeps import SweepPoint, SweepResult
+from repro.harness.sweeps import SweepPoint, SweepResult, run_sweep
 from repro.network.loggp import LogGPParams
 
 
@@ -54,6 +54,14 @@ def test_parallel_sweep_bit_identical_to_serial():
                                   overheads=(2.9, 22.9, 52.9), seed=7,
                                   jobs=jobs)
         assert sweep_fingerprint(serial) == sweep_fingerprint(parallel)
+
+
+def test_run_sweep_parallel_defaults_match_serial():
+    serial = run_sweep(tiny_radix(), 4, "overhead", (0.0, 20.0),
+                       TuningKnobs.added_overhead)
+    parallel = run_sweep(tiny_radix(), 4, "overhead", (0.0, 20.0),
+                         TuningKnobs.added_overhead, jobs=default_jobs())
+    assert sweep_fingerprint(serial) == sweep_fingerprint(parallel)
 
 
 # ---------------------------------------------------------------------------
